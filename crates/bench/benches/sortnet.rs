@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use prasim_routing::problem::SplitMix64;
 use prasim_sortnet::columnsort_mesh;
 use prasim_sortnet::rank::rank_sorted;
-use prasim_sortnet::shearsort::shearsort;
+use prasim_sortnet::shearsort::{shearsort, shearsort_flat};
 
 fn grid(side: u32, h: usize, seed: u64) -> Vec<Vec<u64>> {
     let mut rng = SplitMix64(seed);
@@ -28,6 +28,17 @@ fn bench_shearsort(c: &mut Criterion) {
             });
         }
     }
+    // The flat kernel alone on CULLING's level-1 sort shape at n = 4096
+    // (64×64, 9 keys per node), with no per-node buffers to flatten.
+    let (side, h) = (64u32, 9usize);
+    let mut scratch = Vec::new();
+    g.bench_function(format!("flat_side{side}_h{h}"), |b| {
+        b.iter_batched(
+            || grid(side, h, 42).concat(),
+            |mut buf| black_box(shearsort_flat(&mut buf, side, side, h, &mut scratch)),
+            criterion::BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 

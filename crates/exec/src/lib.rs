@@ -185,7 +185,7 @@ impl Default for ExecCtx {
 impl ExecCtx {
     /// A context with explicit knobs and fresh pools.
     pub fn new(threads: usize, sorter: Sorter, analytic: bool) -> Self {
-        ExecCtx {
+        let mut ctx = ExecCtx {
             threads: threads.max(1),
             sorter,
             mode: default_exec_mode(),
@@ -194,7 +194,16 @@ impl ExecCtx {
             ledger: CostLedger::new(analytic),
             memo: RouteMemo::new(),
             arena: Vec::new(),
-        }
+        };
+        ctx.configure_engines();
+        ctx
+    }
+
+    /// Installs the context's thread count and worker pool on the engine
+    /// pool, so every engine it hands out — including the ones columnsort
+    /// checks out for its route measurements — runs on them.
+    fn configure_engines(&mut self) {
+        self.engines.configure(self.threads, Arc::clone(&self.pool));
     }
 
     /// A context picking up the process defaults (`--threads`,
@@ -212,6 +221,7 @@ impl ExecCtx {
     /// Reconfigures the worker-thread count for subsequent engines.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
+        self.configure_engines();
     }
 
     /// The configured sorter.
@@ -239,7 +249,8 @@ impl ExecCtx {
         &self.pool
     }
 
-    /// The engine pool (for direct checkout/recycle bookkeeping).
+    /// The engine pool (for direct checkout/recycle bookkeeping). Its
+    /// engines carry the context's thread count and worker pool.
     pub fn engine_pool(&mut self) -> &mut EnginePool {
         &mut self.engines
     }
@@ -253,10 +264,7 @@ impl ExecCtx {
     /// thread count and persistent worker pool. Return it with
     /// [`ExecCtx::recycle`] when the stage is done.
     pub fn engine(&mut self, shape: MeshShape) -> Engine {
-        let mut engine = self.engines.checkout(shape);
-        engine.set_threads(self.threads);
-        engine.set_pool(Arc::clone(&self.pool));
-        engine
+        self.engines.checkout(shape)
     }
 
     /// Returns an engine to the context's pool.
@@ -306,6 +314,7 @@ impl ExecCtx {
         // Dropping the old Arc joins its threads once every engine
         // holding a clone is gone; the replacement spawns lazily.
         self.pool = Arc::new(WorkerPool::new());
+        self.configure_engines();
     }
 
     /// Applies the process-wide [`ExecMode`]: under

@@ -248,19 +248,30 @@ pub struct EnginePool {
     free: HashMap<MeshShape, Vec<Engine>>,
     created: u64,
     reused: u64,
+    /// Worker-thread count and worker pool installed on every checked-out
+    /// engine; `None` leaves engines at their [`Engine::new`] defaults.
+    config: Option<(usize, Arc<WorkerPool>)>,
 }
 
 impl EnginePool {
-    /// An empty pool.
+    /// An empty pool handing out engines with their default threads.
     pub fn new() -> Self {
         EnginePool::default()
     }
 
+    /// Makes every later checkout run on `threads` workers borrowed from
+    /// `workers` (an execution context's configuration). Pooled engines
+    /// are kept; the configuration is installed at checkout.
+    pub fn configure(&mut self, threads: usize, workers: Arc<WorkerPool>) {
+        self.config = Some((threads, workers));
+    }
+
     /// A reset engine on `shape`: recycled if one is available, freshly
-    /// built otherwise. The caller configures threads/pool/faults/trace
-    /// per use (the reset clears all of them).
+    /// built otherwise, with the pool's thread configuration installed.
+    /// The caller configures faults/trace per use (the reset clears
+    /// both).
     pub fn checkout(&mut self, shape: MeshShape) -> Engine {
-        match self.free.get_mut(&shape).and_then(Vec::pop) {
+        let mut engine = match self.free.get_mut(&shape).and_then(Vec::pop) {
             Some(mut engine) => {
                 self.reused += 1;
                 engine.reset();
@@ -270,7 +281,12 @@ impl EnginePool {
                 self.created += 1;
                 Engine::new(shape)
             }
+        };
+        if let Some((threads, workers)) = &self.config {
+            engine.set_threads(*threads);
+            engine.set_pool(Arc::clone(workers));
         }
+        engine
     }
 
     /// Returns an engine to the pool for later reuse.

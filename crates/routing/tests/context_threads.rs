@@ -1,9 +1,11 @@
-//! Regression test: the routing layers must run their engines with the
-//! configured worker-thread count. The seed built `Engine::new(shape)`
-//! inside `route_flat`/`route_hierarchical`, so `--threads` silently
-//! fell back to the process default on those paths; with the execution
-//! context the route engines come from the context and carry its thread
-//! count.
+//! Regression tests: the routing layers and columnsort's route
+//! measurements must run their engines with the configured worker-thread
+//! count. The seed built `Engine::new(shape)` inside
+//! `route_flat`/`route_hierarchical`, and columnsort checked engines out
+//! of the pool without the context's configuration, so `--threads`
+//! silently fell back to the process default on those paths. With the
+//! execution context every engine comes from the context's pool and
+//! carries its thread count.
 
 use prasim_exec::ExecCtx;
 use prasim_mesh::topology::MeshShape;
@@ -64,5 +66,33 @@ fn context_thread_count_does_not_change_results() {
         let h = route_hierarchical_ctx(&inst, 4, 100_000, &mut ctx).unwrap();
         assert_eq!(f, base_flat, "threads = {threads}");
         assert_eq!(h, base_hier, "threads = {threads}");
+    }
+}
+
+#[test]
+fn columnsort_route_engines_use_context_threads() {
+    // Columnsort measures its fixed permutation routes on engines from
+    // the context's pool; they must shard across the context's workers.
+    let mut items: Vec<Vec<u64>> = (0..64u64).rev().map(|x| vec![x]).collect();
+    let mut ctx = ExecCtx::new(3, Sorter::Columnsort, false);
+    ctx.sort(&mut items, 8, 8, 1);
+    assert_eq!(
+        ctx.worker_pool().spawned(),
+        3,
+        "columnsort route engines must shard across the context's 3 workers"
+    );
+}
+
+#[test]
+fn columnsort_costs_do_not_depend_on_context_threads() {
+    let input: Vec<Vec<u64>> = (0..64u64).map(|x| vec![(x * 37) % 64, x / 3]).collect();
+    let mut base = input.clone();
+    let want = Sorter::Columnsort.sort(&mut base, 8, 8, 2);
+    for threads in [1usize, 2, 3] {
+        let mut items = input.clone();
+        let mut ctx = ExecCtx::new(threads, Sorter::Columnsort, false);
+        let cost = ctx.sort(&mut items, 8, 8, 2);
+        assert_eq!(cost, want, "threads = {threads}");
+        assert_eq!(items, base, "threads = {threads}");
     }
 }

@@ -16,15 +16,18 @@
 //!   default sorter of the simulation, [`crate::sorter::Sorter`]). Each
 //!   matrix column is a rectangular *block* of the mesh (blocks tile the
 //!   mesh in snake order over the block grid, so consecutive columns are
-//!   mesh-adjacent); the column-sorting phases run merge-split shearsort
-//!   inside every block in parallel, and the three fixed permutations —
-//!   plus the final block-major → snake relayout — are executed as
-//!   balanced packet routes on the store-and-forward engine
-//!   ([`prasim_mesh::engine::Engine`]) and charged at their *measured*
-//!   step count. The permutations are data-independent, so each route is
-//!   measured once per `(rows, cols, h, block-plan)` shape and memoized;
-//!   the engine is byte-deterministic for every worker count, which
-//!   makes the memoized costs thread-independent too.
+//!   mesh-adjacent). The column-sorting phases run shearsort inside every
+//!   block in parallel: the flat kernel
+//!   [`crate::shearsort::shearsort_flat`] sorts each block's slice of the
+//!   matrix in place and charges the merge-split rounds exactly. The
+//!   three fixed permutations, plus the final block-major → snake
+//!   relayout, are executed as balanced packet routes on the
+//!   store-and-forward engine ([`prasim_mesh::engine::Engine`]) and
+//!   charged at their *measured* step count. The permutations are
+//!   data-independent, so each route is measured once per
+//!   `(rows, cols, h, block-plan)` shape and memoized; the engine is
+//!   byte-deterministic for every worker count, which makes the memoized
+//!   costs thread-independent too.
 //!
 //! Why no log factor: the block plan maximizes the column count `s`
 //! under Leighton's feasibility rule `r ≥ 2(s-1)²`, which drives block
@@ -43,16 +46,9 @@ use prasim_mesh::pool::EnginePool;
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::MeshShape;
 
-use crate::shearsort::{shearsort, SortCost};
+use crate::key::Key;
+use crate::shearsort::{shearsort_flat, SortCost};
 use crate::snake::{snake_coord, snake_index};
-
-/// Sentinel-extended key: `NegInf < Val(x) < PosInf`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Key<T> {
-    NegInf,
-    Val(T),
-    PosInf,
-}
 
 /// Sorts `data` by recursive columnsort, charging mesh costs for a
 /// `rows × cols` submesh holding `h` keys per node
@@ -440,33 +436,22 @@ fn perm_cost(
     cost
 }
 
-/// Sorts each matrix column (= mesh block) with merge-split shearsort
-/// run *inside* the block; all blocks sort in parallel, so the charge is
-/// the maximum measured cost. `scratch` is the reusable per-node buffer
-/// arena.
+/// Sorts each matrix column (= mesh block) with shearsort run *inside*
+/// the block; all blocks sort in parallel, so the charge is the maximum
+/// measured cost. A column is already node-major in block-snake order
+/// (see [`Layout`]), so the flat kernel [`shearsort_flat`] sorts it in
+/// place, charging merge-split rounds exactly. `scratch` is the kernel's
+/// reusable column buffer.
 fn sort_blocks<T: Ord + Copy>(
     a: &mut [Key<T>],
     h: usize,
     plan: &BlockPlan,
-    scratch: &mut Vec<Vec<Key<T>>>,
+    scratch: &mut Vec<Key<T>>,
 ) -> u64 {
-    let bn = (plan.brows * plan.bcols) as usize;
-    if scratch.len() != bn {
-        scratch.resize_with(bn, Vec::new);
-    }
-    let mut worst = 0u64;
-    for col in a.chunks_mut(plan.r) {
-        for (ln, buf) in scratch.iter_mut().enumerate() {
-            buf.clear();
-            buf.extend_from_slice(&col[ln * h..(ln + 1) * h]);
-        }
-        let c = shearsort(scratch, plan.brows, plan.bcols, h);
-        worst = worst.max(c.steps);
-        for (ln, buf) in scratch.iter().enumerate() {
-            col[ln * h..(ln + 1) * h].copy_from_slice(buf);
-        }
-    }
-    worst
+    a.chunks_mut(plan.r)
+        .map(|col| shearsort_flat(col, plan.brows, plan.bcols, h, scratch).steps)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Merges the boundary halves of adjacent sorted columns in place —
@@ -589,15 +574,15 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
     }
 
     let mut steps = 0u64;
-    let mut blk_scratch: Vec<Vec<Key<T>>> = Vec::new();
-    let mut perm_scratch: Vec<Key<T>> = Vec::with_capacity(slots);
+    // Shared by the block sorts and the permutations; each use clears it.
+    let mut scratch: Vec<Key<T>> = Vec::with_capacity(slots);
 
     // Phase 1: sort columns (blocks, in parallel).
-    steps += sort_blocks(&mut a, h, &plan, &mut blk_scratch);
+    steps += sort_blocks(&mut a, h, &plan, &mut scratch);
     // Phase 2: reshape-transpose (engine-measured fixed route).
-    perm_scratch.clear();
-    perm_scratch.extend_from_slice(&a);
-    for (seq, &x) in perm_scratch.iter().enumerate() {
+    scratch.clear();
+    scratch.extend_from_slice(&a);
+    for (seq, &x) in scratch.iter().enumerate() {
         a[(seq % s) * r + seq / s] = x;
     }
     steps += perm_cost(
@@ -610,12 +595,12 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
         memo,
     );
     // Phase 3.
-    steps += sort_blocks(&mut a, h, &plan, &mut blk_scratch);
+    steps += sort_blocks(&mut a, h, &plan, &mut scratch);
     // Phase 4: inverse reshape.
-    perm_scratch.clear();
-    perm_scratch.extend_from_slice(&a);
+    scratch.clear();
+    scratch.extend_from_slice(&a);
     for (t, slot) in a.iter_mut().enumerate() {
-        *slot = perm_scratch[(t % s) * r + t / s];
+        *slot = scratch[(t % s) * r + t / s];
     }
     steps += perm_cost(
         MeshShape { rows, cols },
@@ -627,9 +612,9 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
         memo,
     );
     // Phase 5.
-    steps += sort_blocks(&mut a, h, &plan, &mut blk_scratch);
+    steps += sort_blocks(&mut a, h, &plan, &mut scratch);
     // Phases 6–8 as disjoint adjacent-column boundary merges.
-    merge_adjacent(&mut a, r, s, &mut perm_scratch);
+    merge_adjacent(&mut a, r, s, &mut scratch);
     steps += perm_cost(
         MeshShape { rows, cols },
         h,
@@ -654,7 +639,7 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
         buf.clear();
     }
     for (t, key) in a.into_iter().enumerate() {
-        if let Key::Val(x) = key {
+        if let Some(x) = key.val() {
             items[t / h].push(x);
         }
     }

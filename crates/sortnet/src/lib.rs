@@ -15,7 +15,9 @@
 //! - [`snake`]: snake-order indexing of a rectangular region.
 //! - [`mod@sorter`]: the pluggable sorter dispatch (default:
 //!   columnsort).
-//! - [`mod@shearsort`]: merge-split shearsort of `l` keys per node.
+//! - [`mod@shearsort`]: merge-split shearsort of `l` keys per node, run
+//!   by the flat in-place kernel [`shearsort::shearsort_flat`].
+//! - [`key`]: the sentinel-extended key both sorters pad nodes with.
 //! - [`mod@columnsort`]: Leighton's columnsort — both the flat
 //!   reference and the step-simulated mesh realization
 //!   ([`columnsort::columnsort_mesh`]).
@@ -39,6 +41,7 @@
 
 pub mod broadcast;
 pub mod columnsort;
+pub mod key;
 pub mod rank;
 pub mod shearsort;
 pub mod snake;
@@ -47,6 +50,6 @@ pub mod sorter;
 pub use broadcast::segmented_broadcast;
 pub use columnsort::{columnsort, columnsort_mesh, columnsort_mesh_with, RouteMemo};
 pub use rank::rank_sorted;
-pub use shearsort::{shearsort, SortCost};
+pub use shearsort::{shearsort, shearsort_flat, SortCost};
 pub use snake::snake_index;
 pub use sorter::{default_sorter, set_global_sorter, Sorter};

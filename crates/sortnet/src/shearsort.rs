@@ -1,14 +1,23 @@
-//! Merge-split shearsort of `h` keys per node on a `rows × cols` grid.
+//! Shearsort of `h` keys per node on a `rows × cols` grid.
 //!
-//! Each node holds up to `h` keys. A *merge-split* between two adjacent
-//! nodes merges their (individually sorted) buffers and hands the lower
-//! half to the node earlier in the line — the standard block
-//! generalization of a compare-exchange, costing `h` communication steps
-//! (the buffers cross the link one key per step, both directions in
-//! parallel). Odd-even transposition with merge-split sorts a line of `L`
-//! blocks in `L` rounds; shearsort interleaves row passes (ascending in
-//! snake position, which realizes the alternating row directions) and
-//! column passes for `⌈log₂ rows⌉ + 1` phases.
+//! Each node holds up to `h` keys. The mesh algorithm is merge-split
+//! shearsort. A *merge-split* between two adjacent nodes merges their
+//! sorted buffers and hands the lower half to the node earlier in the
+//! line. It is the block form of a compare-exchange and costs `h`
+//! communication steps (the buffers cross the link one key per step,
+//! both directions in parallel). Shearsort alternates row passes
+//! (ascending in snake position, which realizes the alternating row
+//! directions) and column passes until the grid is sorted, at most
+//! `⌈log₂ rows⌉ + 1` phases.
+//!
+//! **Cost model vs. execution.** A line pass is odd-even transposition
+//! with merge-split: `L` rounds over the `L` sorted blocks of a line,
+//! charged `L·h` steps. Baudet–Stevenson (1978) show those `L` rounds
+//! sort the line completely, so the pass's outcome is the sorted line.
+//! The kernel [`shearsort_flat`] therefore executes each line pass as one
+//! in-place sort of that line and simulates only the data-dependent
+//! phase count. Output and [`SortCost`] are exactly those of the
+//! round-by-round merge-split run (pinned by an oracle test).
 //!
 //! The paper charges `O(l₁√n)` for sorting, citing Kunde-style
 //! algorithms; shearsort is `O(l·√n·log n)` — the substitution and its
@@ -16,7 +25,8 @@
 //! [`SortCost`] carries both the measured shearsort steps and the
 //! analytic Kunde-style charge so experiments can report either.
 
-use crate::snake::{column_positions, row_positions};
+use crate::key::Key;
+use crate::snake::snake_index;
 
 /// Communication-cost account of a sorting/ranking operation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,17 +74,46 @@ impl SortCost {
 pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: usize) -> SortCost {
     assert_eq!(items.len(), (rows as u64 * cols as u64) as usize);
     assert!(h >= 1);
-    // Pad to exactly h slots per node with None (= +infinity).
-    let mut buf: Vec<Vec<Option<T>>> = items
-        .iter()
-        .map(|v| {
-            assert!(v.len() <= h, "buffer exceeds h = {h}");
-            let mut b: Vec<Option<T>> = v.iter().copied().map(Some).collect();
-            b.sort_unstable_by(cmp_opt_key);
-            b.resize(h, None);
-            b
-        })
-        .collect();
+    // Flatten to exactly h slots per node, padded with +infinity.
+    let mut buf: Vec<Key<T>> = Vec::with_capacity(items.len() * h);
+    for v in items.iter() {
+        assert!(v.len() <= h, "buffer exceeds h = {h}");
+        buf.extend(v.iter().map(|&x| Key::Val(x)));
+        buf.extend(std::iter::repeat_n(Key::PosInf, h - v.len()));
+    }
+    let cost = shearsort_flat(&mut buf, rows, cols, h, &mut Vec::new());
+    for (slot, node) in items.iter_mut().zip(buf.chunks(h)) {
+        slot.clear();
+        slot.extend(node.iter().filter_map(|k| k.val()));
+    }
+    cost
+}
+
+/// The shearsort kernel on a flat buffer: `buf` holds `h` keys per node,
+/// nodes in snake order (`buf.len() == rows·cols·h`), padding included
+/// as keys that sort after every real key. On return `buf` is sorted.
+///
+/// Each phase is a row pass (every row is a contiguous slice in snake
+/// order, sorted in place) and, unless the buffer is then sorted, a
+/// column pass (each column gathered top to bottom into `scratch`,
+/// sorted, scattered back). Costs are charged per merge-split round, as
+/// the module doc explains. `scratch` is reused across calls.
+///
+/// # Panics
+/// Panics if `buf.len() != rows·cols·h`, `h == 0`, or the phase count
+/// exceeds its safety bound.
+pub fn shearsort_flat<K: Ord + Copy>(
+    buf: &mut [K],
+    rows: u32,
+    cols: u32,
+    h: usize,
+    scratch: &mut Vec<K>,
+) -> SortCost {
+    assert!(h >= 1);
+    assert_eq!(buf.len(), rows as usize * cols as usize * h);
+    for node in buf.chunks_mut(h) {
+        node.sort_unstable();
+    }
 
     let mut cost = SortCost {
         steps: 0,
@@ -83,30 +122,27 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
     };
 
     let max_phases = rows.max(2).ilog2() + 2 + rows; // theory bound + safety margin
-    let mut merge_scratch: Vec<Option<T>> = Vec::with_capacity(2 * h);
-    let mut col_scratch: Vec<Vec<Option<T>>> = Vec::with_capacity(rows as usize);
     loop {
-        // Row pass: each row is a contiguous ascending chunk in snake
-        // indexing. All rows run in parallel -> charge one line sort.
-        for r in 0..rows {
-            let range = row_positions(cols, r);
-            odd_even_line(&mut buf[range], h, &mut merge_scratch);
+        // Row pass: all rows run in parallel -> charge one line sort.
+        for row in buf.chunks_mut(cols as usize * h) {
+            row.sort_unstable();
         }
         cost.steps += cols as u64 * h as u64;
         cost.phases += 1;
-        if is_sorted(&buf) {
+        if buf.is_sorted() {
             break;
         }
         // Column pass.
         for c in 0..cols {
-            let ps = column_positions(rows, cols, c);
-            col_scratch.clear();
-            for &p in &ps {
-                col_scratch.push(std::mem::take(&mut buf[p]));
+            scratch.clear();
+            for r in 0..rows {
+                let at = snake_index(cols, r, c) as usize * h;
+                scratch.extend_from_slice(&buf[at..at + h]);
             }
-            odd_even_line(&mut col_scratch, h, &mut merge_scratch);
-            for (&p, v) in ps.iter().zip(col_scratch.drain(..)) {
-                buf[p] = v;
+            scratch.sort_unstable();
+            for (r, keys) in (0..rows).zip(scratch.chunks(h)) {
+                let at = snake_index(cols, r, c) as usize * h;
+                buf[at..at + h].copy_from_slice(keys);
             }
         }
         cost.steps += rows as u64 * h as u64;
@@ -115,93 +151,7 @@ pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: u
             "shearsort failed to converge in {max_phases} phases"
         );
     }
-
-    for (slot, b) in items.iter_mut().zip(buf) {
-        slot.clear();
-        slot.extend(b.into_iter().flatten());
-    }
     cost
-}
-
-/// `None` sorts after every `Some` (acts as +infinity padding).
-#[inline]
-fn cmp_opt_key<T: Ord>(a: &Option<T>, b: &Option<T>) -> std::cmp::Ordering {
-    match (a, b) {
-        (Some(x), Some(y)) => x.cmp(y),
-        (Some(_), None) => std::cmp::Ordering::Less,
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (None, None) => std::cmp::Ordering::Equal,
-    }
-}
-
-/// Odd-even transposition with merge-split over a line of blocks; `L`
-/// rounds sort `L` pre-sorted blocks. `scratch` is a reusable merge
-/// buffer (capacity `2h`) so repeated passes allocate nothing.
-fn odd_even_line<T: Ord + Copy>(
-    line: &mut [Vec<Option<T>>],
-    h: usize,
-    scratch: &mut Vec<Option<T>>,
-) {
-    let n = line.len();
-    if n <= 1 {
-        return;
-    }
-    for round in 0..n {
-        let start = round % 2;
-        let mut i = start;
-        while i + 1 < n {
-            merge_split(line, i, i + 1, h, scratch);
-            i += 2;
-        }
-    }
-}
-
-/// Merge two sorted blocks; lower `h` keys to `lo`, the rest to `hi`.
-fn merge_split<T: Ord + Copy>(
-    line: &mut [Vec<Option<T>>],
-    lo: usize,
-    hi: usize,
-    h: usize,
-    merged: &mut Vec<Option<T>>,
-) {
-    merged.clear();
-    {
-        let (a, b) = (&line[lo], &line[hi]);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            if cmp_opt_key(&a[i], &b[j]) != std::cmp::Ordering::Greater {
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-    }
-    let split = merged.len().min(h);
-    line[lo].clear();
-    line[lo].extend_from_slice(&merged[..split]);
-    line[hi].clear();
-    line[hi].extend_from_slice(&merged[split..]);
-}
-
-/// Whether the buffers, concatenated in snake order, are sorted with all
-/// padding at the tail.
-fn is_sorted<T: Ord + Copy>(buf: &[Vec<Option<T>>]) -> bool {
-    let mut prev: Option<&Option<T>> = None;
-    for b in buf {
-        for x in b {
-            if let Some(p) = prev {
-                if cmp_opt_key(p, x) == std::cmp::Ordering::Greater {
-                    return false;
-                }
-            }
-            prev = Some(x);
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -30,19 +30,6 @@ pub fn snake_coord(cols: u32, pos: u32) -> (u32, u32) {
     (r, c)
 }
 
-/// The snake positions forming geometric column `c`, ordered by row.
-pub fn column_positions(rows: u32, cols: u32, c: u32) -> Vec<usize> {
-    (0..rows)
-        .map(|r| snake_index(cols, r, c) as usize)
-        .collect()
-}
-
-/// The snake positions forming geometric row `r` (a contiguous ascending
-/// chunk).
-pub fn row_positions(cols: u32, r: u32) -> std::ops::Range<usize> {
-    (r * cols) as usize..((r + 1) * cols) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,19 +66,6 @@ mod tests {
             let (r2, c2) = snake_coord(cols, pos + 1);
             let dist = r1.abs_diff(r2) + c1.abs_diff(c2);
             assert_eq!(dist, 1, "snake jump at pos {pos}");
-        }
-    }
-
-    #[test]
-    fn column_positions_cover_column() {
-        let (rows, cols) = (4u32, 5u32);
-        for c in 0..cols {
-            let ps = column_positions(rows, cols, c);
-            assert_eq!(ps.len(), rows as usize);
-            for (r, &p) in ps.iter().enumerate() {
-                let (rr, cc) = snake_coord(cols, p as u32);
-                assert_eq!((rr, cc), (r as u32, c));
-            }
         }
     }
 }

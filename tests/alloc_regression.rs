@@ -17,12 +17,19 @@
 //! sharper invariant: the allocation count of a warm parallel run is
 //! independent of how many steps the run executes. If the step loop
 //! itself allocated, a workload with more steps would allocate more.
+//!
+//! The counter is process-wide on purpose, so allocations made on the
+//! engine's worker threads count too. The test harness runs tests on
+//! parallel threads, though, so each test holds [`SERIAL`] for its
+//! whole body: otherwise one test's measurement window would count the
+//! other test's allocations.
 
 use prasim_mesh::engine::{Engine, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, MeshShape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -53,6 +60,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+/// Held by each test for its whole body so only one test allocates
+/// while another is counting.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other test still runs alone.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Deterministic SplitMix64 finalizer (same shape the engine benches
@@ -112,6 +128,7 @@ fn cycle(engine: &mut Engine, w: &[(Coord, Packet)]) -> (u64, u64) {
 
 #[test]
 fn sequential_steady_state_allocates_nothing() {
+    let _alone = serialize();
     let shape = MeshShape::square(32);
     let w = workload(shape, 4, shape.nodes());
     let mut engine = Engine::new(shape).with_threads(1);
@@ -143,6 +160,7 @@ fn sequential_steady_state_allocates_nothing() {
 
 #[test]
 fn parallel_run_allocations_are_step_count_independent() {
+    let _alone = serialize();
     let shape = MeshShape::square(32);
     // Same packet count, very different step counts: adjacent
     // destinations versus mesh-wide ones.
