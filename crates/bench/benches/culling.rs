@@ -2,8 +2,9 @@
 //! mesh sizes and workloads, with the Theorem 3 certificate asserted.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use prasim_core::culling::cull;
+use prasim_core::culling::cull_with;
 use prasim_core::workload;
+use prasim_exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams};
 
 fn requests(hmos: &Hmos, seed: u64) -> Vec<Option<u64>> {
@@ -26,7 +27,7 @@ fn bench_culling_scaling(c: &mut Criterion) {
         let reqs = requests(&hmos, 5);
         g.bench_function(format!("n{n}"), |b| {
             b.iter(|| {
-                let out = cull(&hmos, &reqs, 1.0, false);
+                let out = cull_with(&hmos, &reqs, 1.0, &mut ExecCtx::default());
                 assert!(out.report.theorem3_holds());
                 black_box(out.report.total_steps)
             })
@@ -44,7 +45,7 @@ fn bench_culling_adversarial(c: &mut Criterion) {
     let reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
     g.bench_function("module_saturating_n1024", |b| {
         b.iter(|| {
-            let out = cull(&hmos, &reqs, 1.0, false);
+            let out = cull_with(&hmos, &reqs, 1.0, &mut ExecCtx::default());
             assert!(out.report.theorem3_holds());
             black_box(out.report.total_steps)
         })
@@ -63,7 +64,13 @@ fn bench_culling_k(c: &mut Criterion) {
         };
         let reqs = requests(&hmos, 7);
         g.bench_function(format!("k{k}"), |b| {
-            b.iter(|| black_box(cull(&hmos, &reqs, 1.0, false).report.total_steps))
+            b.iter(|| {
+                black_box(
+                    cull_with(&hmos, &reqs, 1.0, &mut ExecCtx::default())
+                        .report
+                        .total_steps,
+                )
+            })
         });
     }
     g.finish();

@@ -14,11 +14,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use prasim_exec::ExecCtx;
-use prasim_mesh::engine::{default_threads, Engine, Packet};
+use prasim_mesh::engine::{Engine, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::problem::SplitMix64;
-use prasim_sortnet::sorter::default_sorter;
+use prasim_sortnet::Sorter;
 
 /// Injects the T16 workload (`per_node` random-destination packets at
 /// every node) into `engine`.
@@ -50,12 +50,12 @@ fn bench_engine_reuse(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("pooled_engine", |b| {
-        let mut ctx = ExecCtx::from_defaults();
+        let mut ctx = ExecCtx::default();
         b.iter(|| {
             let mut e = ctx.engine(shape);
             saturate(&mut e, shape, 8);
             let steps = black_box(e.run(100_000_000).unwrap().steps);
-            e.take_delivered();
+            e.drain_delivered().for_each(drop);
             ctx.recycle(e);
             steps
         })
@@ -63,7 +63,7 @@ fn bench_engine_reuse(c: &mut Criterion) {
 
     g.bench_function("fresh_engine", |b| {
         b.iter(|| {
-            let mut e = Engine::new(shape).with_threads(default_threads());
+            let mut e = Engine::new(shape);
             saturate(&mut e, shape, 8);
             black_box(e.run(100_000_000).unwrap().steps)
         })
@@ -73,17 +73,17 @@ fn bench_engine_reuse(c: &mut Criterion) {
 
 fn bench_pool_reuse(c: &mut Criterion) {
     let shape = MeshShape::square_of(1024).unwrap();
-    let threads = default_threads().max(2);
+    let threads = 2;
     let mut g = c.benchmark_group("exec_reuse/pool_n1024");
     g.sample_size(10);
 
     g.bench_function("warm_pool", |b| {
-        let mut ctx = ExecCtx::new(threads, default_sorter(), false);
+        let mut ctx = ExecCtx::new(threads, Sorter::default(), false);
         b.iter(|| {
             let mut e = ctx.engine(shape);
             saturate(&mut e, shape, 8);
             let steps = black_box(e.run(100_000_000).unwrap().steps);
-            e.take_delivered();
+            e.drain_delivered().for_each(drop);
             ctx.recycle(e);
             steps
         })
@@ -93,11 +93,11 @@ fn bench_pool_reuse(c: &mut Criterion) {
         b.iter(|| {
             // A context built per run respawns its worker threads and
             // reallocates its engine — the seed's per-step behavior.
-            let mut ctx = ExecCtx::new(threads, default_sorter(), false);
+            let mut ctx = ExecCtx::new(threads, Sorter::default(), false);
             let mut e = ctx.engine(shape);
             saturate(&mut e, shape, 8);
             let steps = black_box(e.run(100_000_000).unwrap().steps);
-            e.take_delivered();
+            e.drain_delivered().for_each(drop);
             ctx.recycle(e);
             steps
         })

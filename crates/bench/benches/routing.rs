@@ -3,6 +3,7 @@
 //! hierarchical `(l1,l2,δ,m)`-routing of Section 2.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use prasim_exec::ExecCtx;
 use prasim_mesh::region::{Rect, Tessellation};
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::flat::route_flat;
@@ -18,7 +19,13 @@ fn bench_flat_routing(c: &mut Criterion) {
             let shape = MeshShape::square_of(n).unwrap();
             let inst = RoutingInstance::random(shape, l1, 42);
             g.bench_function(format!("n{n}_l1_{l1}"), |b| {
-                b.iter(|| black_box(route_flat(&inst, 100_000_000).unwrap().total_steps))
+                b.iter(|| {
+                    black_box(
+                        route_flat(&inst, 100_000_000, &mut ExecCtx::default())
+                            .unwrap()
+                            .total_steps,
+                    )
+                })
             });
         }
     }
@@ -31,10 +38,22 @@ fn bench_greedy_vs_flat(c: &mut Criterion) {
     let shape = MeshShape::square_of(4096).unwrap();
     let inst = RoutingInstance::permutation(shape, 3);
     g.bench_function("greedy_perm_n4096", |b| {
-        b.iter(|| black_box(route_greedy(&inst, 100_000_000).unwrap().total_steps))
+        b.iter(|| {
+            black_box(
+                route_greedy(&inst, 100_000_000, &mut ExecCtx::default())
+                    .unwrap()
+                    .total_steps,
+            )
+        })
     });
     g.bench_function("flat_perm_n4096", |b| {
-        b.iter(|| black_box(route_flat(&inst, 100_000_000).unwrap().total_steps))
+        b.iter(|| {
+            black_box(
+                route_flat(&inst, 100_000_000, &mut ExecCtx::default())
+                    .unwrap()
+                    .total_steps,
+            )
+        })
     });
     g.finish();
 }
@@ -51,14 +70,20 @@ fn bench_hierarchical(c: &mut Criterion) {
         g.bench_function(format!("hier_n{n}"), |b| {
             b.iter(|| {
                 black_box(
-                    route_hierarchical(&inst, parts, 100_000_000)
+                    route_hierarchical(&inst, parts, 100_000_000, &mut ExecCtx::default())
                         .unwrap()
                         .total_steps,
                 )
             })
         });
         g.bench_function(format!("flat_skewed_n{n}"), |b| {
-            b.iter(|| black_box(route_flat(&inst, 100_000_000).unwrap().total_steps))
+            b.iter(|| {
+                black_box(
+                    route_flat(&inst, 100_000_000, &mut ExecCtx::default())
+                        .unwrap()
+                        .total_steps,
+                )
+            })
         });
     }
     g.finish();

@@ -5,6 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use prasim_core::baseline::{BaselineScheme, FlatHmosSim, SingleCopySim};
 use prasim_core::{workload, PramMeshSim, PramStep, SimConfig};
+use prasim_sortnet::Sorter;
 
 fn bench_full_step(c: &mut Criterion) {
     // T1: one PRAM read step across mesh sizes (α ≈ 1.33–1.37).
@@ -53,11 +54,11 @@ fn bench_baselines(c: &mut Criterion) {
     g.bench_function("hmos", |b| {
         b.iter(|| black_box(hmos.step(&step).unwrap().total_steps))
     });
-    let mut single = SingleCopySim::new(n, nv).unwrap();
+    let mut single = SingleCopySim::new(n, nv, 1, Sorter::default()).unwrap();
     g.bench_function("single_copy", |b| {
         b.iter(|| black_box(single.step(&step).unwrap().total_steps))
     });
-    let mut flat = FlatHmosSim::new(3, 2, n, 9000).unwrap();
+    let mut flat = FlatHmosSim::new(3, 2, n, 9000, 1, Sorter::default()).unwrap();
     g.bench_function("flat_hmos", |b| {
         b.iter(|| black_box(flat.step(&step).unwrap().total_steps))
     });

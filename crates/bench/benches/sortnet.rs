@@ -3,10 +3,11 @@
 //! phase).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use prasim_mesh::pool::EnginePool;
 use prasim_routing::problem::SplitMix64;
-use prasim_sortnet::columnsort_mesh;
 use prasim_sortnet::rank::rank_sorted;
 use prasim_sortnet::shearsort::{shearsort, shearsort_flat};
+use prasim_sortnet::{columnsort_mesh, RouteMemo};
 
 fn grid(side: u32, h: usize, seed: u64) -> Vec<Vec<u64>> {
     let mut rng = SplitMix64(seed);
@@ -44,16 +45,26 @@ fn bench_shearsort(c: &mut Criterion) {
 
 fn bench_columnsort(c: &mut Criterion) {
     let mut g = c.benchmark_group("sortnet/columnsort");
+    let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
     for &side in &[16u32, 32, 64] {
         for &h in &[1usize, 4, 9] {
             // Warm the permutation-cost cache outside the timing loop:
             // route measurement happens once per shape, not per sort.
             let mut warm = grid(side, h, 42);
-            columnsort_mesh(&mut warm, side, side, h);
+            columnsort_mesh(&mut warm, side, side, h, &mut engines, &mut memo);
             g.bench_function(format!("side{side}_h{h}"), |b| {
                 b.iter_batched(
                     || grid(side, h, 42),
-                    |mut items| black_box(columnsort_mesh(&mut items, side, side, h)),
+                    |mut items| {
+                        black_box(columnsort_mesh(
+                            &mut items,
+                            side,
+                            side,
+                            h,
+                            &mut engines,
+                            &mut memo,
+                        ))
+                    },
                     criterion::BatchSize::SmallInput,
                 )
             });

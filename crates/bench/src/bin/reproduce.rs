@@ -9,21 +9,20 @@
 //! cargo run --release -p prasim-bench --bin reproduce -- T2 --sorter shearsort
 //! ```
 //!
-//! `--threads N` shards every mesh engine across N workers (default:
-//! available parallelism). The tables are byte-identical for every
-//! value — the CI determinism matrix diffs selected tables across
-//! `--threads 1/2/8` to prove it; only T16's wall-clock columns vary.
+//! `--threads N` (a positive integer) shards every mesh engine across
+//! N workers (default: available parallelism). The tables are
+//! byte-identical for every value — the CI determinism matrix diffs
+//! selected tables across `--threads 1/2/8` to prove it; only the
+//! wall-clock columns of T16/T18/T19 vary.
 //!
 //! `--sorter shearsort|columnsort` selects the mesh sorter behind every
 //! sort phase (default: columnsort). The CI sorter matrix regenerates
 //! T2/T17 under both and diffs each against its committed golden.
 //!
-//! `--ctx fresh|reused` selects whether simulations renew their pooled
-//! execution state (engines, worker threads, sort memo) at every step
-//! boundary (`fresh`, the seed's cold-start behavior) or keep it warm
-//! across steps (`reused`, the default). The tables are byte-identical
-//! either way — only wall-clock changes — and the CI determinism matrix
-//! diffs selected tables across both modes to prove it.
+//! Both flags are parsed once here and passed to the table builders as
+//! plain arguments. Any other argument — an unknown flag, a flag
+//! without its value, a malformed value, an unknown table id — exits
+//! with status 2 and a usage message before any table runs.
 //!
 //! Whenever T17 runs, its data is also written to `BENCH_sorters.json`
 //! (machine-readable step counts per sorter per `n`); T18 likewise
@@ -31,47 +30,72 @@
 //! writes `BENCH_engine.json` (arena-vs-legacy engine step throughput).
 
 use prasim_bench::tables::{self, Table};
+use prasim_sortnet::Sorter;
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<String> = Vec::new();
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+const USAGE: &str = "usage: reproduce [quick|full] [T1..T19]... [--threads N] \
+                     [--sorter shearsort|columnsort]";
+
+/// The parsed command line.
+struct Args {
+    quick: bool,
+    full: bool,
+    /// Selected table ids, upper-cased; empty selects every table.
+    selected: Vec<String>,
+    threads: usize,
+    sorter: Sorter,
+}
+
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        quick: false,
+        full: false,
+        selected: Vec::new(),
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        sorter: Sorter::default(),
+    };
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
-        if a == "--threads" {
-            let v = it
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&t| t > 0)
-                .expect("--threads needs a positive integer");
-            threads = v;
-        } else if a == "--sorter" {
-            let s: prasim_sortnet::Sorter = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--sorter needs shearsort|columnsort");
-            prasim_sortnet::set_global_sorter(s);
-        } else if a == "--ctx" {
-            let m = it
-                .next()
-                .and_then(|v| prasim_exec::ExecMode::parse(&v))
-                .expect("--ctx needs fresh|reused");
-            prasim_exec::set_global_exec_mode(m);
-        } else {
-            args.push(a);
+        match a.as_str() {
+            "--threads" => {
+                let v = value(&mut it, &a)?;
+                args.threads =
+                    v.parse().ok().filter(|&t| t > 0).ok_or_else(|| {
+                        format!("--threads expects a positive integer, got `{v}`")
+                    })?;
+            }
+            "--sorter" => args.sorter = value(&mut it, &a)?.parse()?,
+            "quick" => args.quick = true,
+            "full" => args.full = true,
+            id if is_table_id(id) => args.selected.push(id.to_ascii_uppercase()),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    prasim_mesh::engine::set_global_threads(threads);
+    Ok(args)
+}
 
-    let quick = args.iter().any(|a| a == "quick");
-    let full = args.iter().any(|a| a == "full");
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| a.starts_with('T') || a.starts_with('t'))
-        .map(|s| s.as_str())
-        .collect();
-    let want =
-        |id: &str| selected.is_empty() || selected.iter().any(|s| s.eq_ignore_ascii_case(id));
+/// The value following `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// Whether `id` names one of T1–T19 (case-insensitive).
+fn is_table_id(id: &str) -> bool {
+    (1..=19).any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
+}
+
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let Args {
+        quick,
+        full,
+        selected,
+        threads,
+        sorter,
+    } = args;
+    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     // α ≈ 1.33–1.42 series: d grows with n.
     let mut t1_sizes: Vec<(u64, u32)> = if quick {
@@ -95,21 +119,21 @@ fn main() {
 
     let mut out: Vec<Table> = Vec::new();
     if want("T1") {
-        out.push(tables::t1_slowdown(&t1_sizes, 2, false));
-        out.push(tables::t1_slowdown(&t1_sizes, 2, true));
+        out.push(tables::t1_slowdown(&t1_sizes, 2, false, threads, sorter));
+        out.push(tables::t1_slowdown(&t1_sizes, 2, true, threads, sorter));
     }
     if want("T2") {
-        out.push(tables::t2_routing(&t2_ns, &[1, 2, 4]));
+        out.push(tables::t2_routing(&t2_ns, &[1, 2, 4], threads, sorter));
     }
     if want("T3") {
-        out.push(tables::t3_hierarchical(&t3_ns, 1));
+        out.push(tables::t3_hierarchical(&t3_ns, 1, threads, sorter));
     }
     if want("T4") {
         let (n, d) = if quick { (1024, 5) } else { (4096, 6) };
-        out.push(tables::t4_culling_bounds(n, d, 2));
+        out.push(tables::t4_culling_bounds(n, d, 2, threads, sorter));
     }
     if want("T5") {
-        out.push(tables::t5_culling_time(&t1_sizes, 2));
+        out.push(tables::t5_culling_time(&t1_sizes, 2, threads, sorter));
     }
     if want("T6") {
         out.push(tables::t6_bibd_balance());
@@ -127,27 +151,35 @@ fn main() {
     if want("T9") {
         let n = if quick { 1024 } else { 4096 };
         let d = 5;
-        out.push(tables::t9_redundancy(n, d, &[1, 2, 3]));
+        out.push(tables::t9_redundancy(n, d, &[1, 2, 3], threads, sorter));
     }
     if want("T10") {
-        out.push(tables::t10_baselines(1024));
+        out.push(tables::t10_baselines(1024, threads, sorter));
     }
     if want("T11") {
-        out.push(tables::t11_consistency(if quick { 10 } else { 40 }));
+        out.push(tables::t11_consistency(
+            if quick { 10 } else { 40 },
+            threads,
+            sorter,
+        ));
     }
     if want("T12") {
         // Fixed seed: the fault sweep is byte-identical across runs.
-        out.push(tables::t12_fault_sweep(1024, 5, 0xFA17));
+        out.push(tables::t12_fault_sweep(1024, 5, 0xFA17, threads, sorter));
     }
     if want("T13") {
-        out.push(tables::t13_slack_ablation(1024, 5));
+        out.push(tables::t13_slack_ablation(1024, 5, threads, sorter));
     }
     if want("T14") {
-        out.push(tables::t14_q_sweep(if quick { 1024 } else { 4096 }));
+        out.push(tables::t14_q_sweep(
+            if quick { 1024 } else { 4096 },
+            threads,
+            sorter,
+        ));
     }
     if want("T15") {
         let (n, d) = if quick { (1024, 5) } else { (4096, 6) };
-        out.push(tables::t15_stage_deltas(n, d, 2));
+        out.push(tables::t15_stage_deltas(n, d, 2, threads, sorter));
     }
     if want("T16") {
         // Wall-clock columns vary run to run; everything else in the
@@ -162,7 +194,7 @@ fn main() {
         if full {
             t17_ns.push(65536);
         }
-        let (table, json) = tables::t17_sorters(&t17_ns);
+        let (table, json) = tables::t17_sorters(&t17_ns, threads);
         out.push(table);
         std::fs::write("BENCH_sorters.json", json).expect("write BENCH_sorters.json");
     }
@@ -171,7 +203,7 @@ fn main() {
         // a fresh ExecCtx per step vs one warm context. Wall-clock columns
         // vary run to run; steps/delivered/queue are deterministic.
         let (n, ppn, reps) = if quick { (1024, 8, 6) } else { (4096, 16, 8) };
-        let (table, json) = tables::t18_context_reuse(n, ppn, reps);
+        let (table, json) = tables::t18_context_reuse(n, ppn, reps, threads, sorter);
         out.push(table);
         std::fs::write("BENCH_exec.json", json).expect("write BENCH_exec.json");
     }
@@ -186,7 +218,7 @@ fn main() {
             vec![256, 1024, 4096, 16384]
         };
         let reps = if quick { 2 } else { 5 };
-        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, reps);
+        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, reps, sorter);
         out.push(table);
         std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
     }

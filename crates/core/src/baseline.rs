@@ -49,6 +49,9 @@ pub trait BaselineScheme {
     fn name(&self) -> &'static str;
     /// Simulates one PRAM step.
     fn step(&mut self, step: &PramStep) -> Result<BaselineReport, SimError>;
+    /// The scheme's execution context (pooled engines and worker
+    /// threads, sorter resources).
+    fn exec(&mut self) -> &mut ExecCtx;
 }
 
 /// Sort-then-greedy delivery of `(src, dest, pkt)` requests; returns the
@@ -120,23 +123,18 @@ pub struct SingleCopySim {
 }
 
 impl SingleCopySim {
-    /// Builds the scheme on an `n`-node mesh with the given memory size.
-    pub fn new(n: u64, num_variables: u64) -> Option<Self> {
+    /// Builds the scheme on an `n`-node mesh with the given memory size;
+    /// its engines run on `threads` workers and its pre-routing sort on
+    /// `sorter`.
+    pub fn new(n: u64, num_variables: u64, threads: usize, sorter: Sorter) -> Option<Self> {
         let shape = MeshShape::square_of(n)?;
         Some(SingleCopySim {
             shape,
             num_variables,
             memory: vec![HashMap::new(); n as usize],
             max_engine_steps: 100_000_000,
-            exec: ExecCtx::from_defaults(),
+            exec: ExecCtx::new(threads, sorter, false),
         })
-    }
-
-    /// Selects the mesh sorter of the pre-routing sort (configures the
-    /// scheme's execution context).
-    pub fn with_sorter(mut self, sorter: Sorter) -> Self {
-        self.exec.set_sorter(sorter);
-        self
     }
 
     /// The home node of a variable.
@@ -151,6 +149,10 @@ impl BaselineScheme for SingleCopySim {
         "single-copy"
     }
 
+    fn exec(&mut self) -> &mut ExecCtx {
+        &mut self.exec
+    }
+
     fn step(&mut self, step: &PramStep) -> Result<BaselineReport, SimError> {
         step.validate(self.num_variables)
             .map_err(|var| SimError::InvalidStep { var })?;
@@ -160,7 +162,6 @@ impl BaselineScheme for SingleCopySim {
             .enumerate()
             .filter_map(|(p, op)| op.map(|o| (p as u32, self.home(o.var()))))
             .collect();
-        self.exec.maybe_renew();
         let (sort_steps, route_steps, access_steps, _q) =
             route_packets(self.shape, &pkts, self.max_engine_steps, &mut self.exec)?;
         let mut reads = vec![None; step.ops.len()];
@@ -204,8 +205,9 @@ pub struct MehlhornVishkinSim {
 }
 
 impl MehlhornVishkinSim {
-    /// Builds the scheme with redundancy `c ≥ 1`.
-    pub fn new(n: u64, num_variables: u64, c: u32) -> Option<Self> {
+    /// Builds the scheme with redundancy `c ≥ 1`; its engines run on
+    /// `threads` workers and its pre-routing sort on `sorter`.
+    pub fn new(n: u64, num_variables: u64, c: u32, threads: usize, sorter: Sorter) -> Option<Self> {
         let shape = MeshShape::square_of(n)?;
         assert!(c >= 1);
         Some(MehlhornVishkinSim {
@@ -214,15 +216,8 @@ impl MehlhornVishkinSim {
             c,
             memory: vec![HashMap::new(); n as usize],
             max_engine_steps: 100_000_000,
-            exec: ExecCtx::from_defaults(),
+            exec: ExecCtx::new(threads, sorter, false),
         })
-    }
-
-    /// Selects the mesh sorter of the pre-routing sort (configures the
-    /// scheme's execution context).
-    pub fn with_sorter(mut self, sorter: Sorter) -> Self {
-        self.exec.set_sorter(sorter);
-        self
     }
 
     /// The `j`-th copy home of a variable (deterministic mix).
@@ -235,6 +230,10 @@ impl MehlhornVishkinSim {
 impl BaselineScheme for MehlhornVishkinSim {
     fn name(&self) -> &'static str {
         "mehlhorn-vishkin"
+    }
+
+    fn exec(&mut self) -> &mut ExecCtx {
+        &mut self.exec
     }
 
     fn step(&mut self, step: &PramStep) -> Result<BaselineReport, SimError> {
@@ -265,7 +264,6 @@ impl BaselineScheme for MehlhornVishkinSim {
                 None => {}
             }
         }
-        self.exec.maybe_renew();
         let (sort_steps, route_steps, access_steps, _q) =
             route_packets(self.shape, &pkts, self.max_engine_steps, &mut self.exec)?;
         let mut reads = vec![None; step.ops.len()];
@@ -313,8 +311,17 @@ pub struct FlatHmosSim {
 }
 
 impl FlatHmosSim {
-    /// Builds the scheme with the same parameters as the full simulator.
-    pub fn new(q: u64, k: u32, n: u64, memory_size: u64) -> Result<Self, SimError> {
+    /// Builds the scheme with the same parameters as the full simulator;
+    /// its engines run on `threads` workers and its pre-routing sort on
+    /// `sorter`.
+    pub fn new(
+        q: u64,
+        k: u32,
+        n: u64,
+        memory_size: u64,
+        threads: usize,
+        sorter: Sorter,
+    ) -> Result<Self, SimError> {
         let params = HmosParams::new(q, k, n, memory_size)?;
         let spec = TargetSpec {
             q: params.q,
@@ -327,15 +334,8 @@ impl FlatHmosSim {
             spec,
             clock: 0,
             max_engine_steps: 100_000_000,
-            exec: ExecCtx::from_defaults(),
+            exec: ExecCtx::new(threads, sorter, false),
         })
-    }
-
-    /// Selects the mesh sorter of the pre-routing sort (configures the
-    /// scheme's execution context).
-    pub fn with_sorter(mut self, sorter: Sorter) -> Self {
-        self.exec.set_sorter(sorter);
-        self
     }
 
     /// Number of addressable variables.
@@ -359,6 +359,10 @@ impl BaselineScheme for FlatHmosSim {
         "flat-hmos"
     }
 
+    fn exec(&mut self) -> &mut ExecCtx {
+        &mut self.exec
+    }
+
     fn step(&mut self, step: &PramStep) -> Result<BaselineReport, SimError> {
         step.validate(self.num_variables())
             .map_err(|var| SimError::InvalidStep { var })?;
@@ -378,7 +382,6 @@ impl BaselineScheme for FlatHmosSim {
                 }
             }
         }
-        self.exec.maybe_renew();
         let (sort_steps, route_steps, access_steps, _q) =
             route_packets(shape, &pkts, self.max_engine_steps, &mut self.exec)?;
         let mut best: Vec<Option<(u64, u64)>> = vec![None; step.ops.len()];
@@ -425,7 +428,7 @@ mod tests {
 
     #[test]
     fn single_copy_roundtrip() {
-        let mut s = SingleCopySim::new(256, 10_000).unwrap();
+        let mut s = SingleCopySim::new(256, 10_000, 1, Sorter::default()).unwrap();
         let vars = workload::random_distinct(256, 10_000, 3);
         s.step(&PramStep::writes(&vars, &vars)).unwrap();
         let r = s.step(&PramStep::reads(&vars)).unwrap();
@@ -437,7 +440,7 @@ mod tests {
     #[test]
     fn single_copy_worst_case_serializes() {
         // All requests to variables with the same home: access time Θ(n).
-        let mut s = SingleCopySim::new(256, 100_000).unwrap();
+        let mut s = SingleCopySim::new(256, 100_000, 1, Sorter::default()).unwrap();
         let vars: Vec<u64> = (0..256u64).map(|i| i * 256).collect(); // all home 0
         let r = s.step(&PramStep::reads(&vars)).unwrap();
         assert_eq!(r.access_steps, 256);
@@ -449,7 +452,7 @@ mod tests {
 
     #[test]
     fn mv_roundtrip_and_write_amplification() {
-        let mut s = MehlhornVishkinSim::new(256, 10_000, 3).unwrap();
+        let mut s = MehlhornVishkinSim::new(256, 10_000, 3, 1, Sorter::default()).unwrap();
         let vars = workload::random_distinct(256, 10_000, 5);
         let w = s.step(&PramStep::writes(&vars, &vars)).unwrap();
         let r = s.step(&PramStep::reads(&vars)).unwrap();
@@ -462,7 +465,7 @@ mod tests {
 
     #[test]
     fn flat_hmos_roundtrip() {
-        let mut s = FlatHmosSim::new(3, 2, 1024, 1000).unwrap();
+        let mut s = FlatHmosSim::new(3, 2, 1024, 1000, 1, Sorter::default()).unwrap();
         let vars = workload::random_distinct(512, s.num_variables(), 7);
         s.step(&PramStep::writes(&vars, &vars)).unwrap();
         let r = s.step(&PramStep::reads(&vars)).unwrap();
@@ -475,7 +478,7 @@ mod tests {
     fn flat_hmos_consistent_across_target_sets() {
         // The fixed target sets still satisfy the intersection property,
         // so overwrites are visible.
-        let mut s = FlatHmosSim::new(3, 2, 1024, 1000).unwrap();
+        let mut s = FlatHmosSim::new(3, 2, 1024, 1000, 1, Sorter::default()).unwrap();
         s.step(&PramStep::writes(&[42], &[1])).unwrap();
         s.step(&PramStep::writes(&[42], &[2])).unwrap();
         let r = s.step(&PramStep::reads(&[42])).unwrap();

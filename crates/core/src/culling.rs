@@ -17,12 +17,10 @@
 
 use prasim_exec::ExecCtx;
 use prasim_hmos::{CopyAddr, Hmos, TargetSpec};
-use prasim_mesh::engine::default_threads;
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::problem::SplitMix64;
 use prasim_sortnet::rank::rank_sorted;
 use prasim_sortnet::snake::snake_index;
-use prasim_sortnet::sorter::default_sorter;
 
 /// A culled copy with its resolved physical address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,13 +120,6 @@ pub fn select_all(hmos: &Hmos, requests: &[Option<u64>]) -> CullingOutcome {
             total_steps: qk,
         },
     }
-}
-
-/// Runs CULLING on a throwaway execution context with the process
-/// default sorter and thread count — see [`cull_with`].
-pub fn cull(hmos: &Hmos, requests: &[Option<u64>], slack: f64, analytic: bool) -> CullingOutcome {
-    let mut ctx = ExecCtx::new(default_threads(), default_sorter(), analytic);
-    cull_with(hmos, requests, slack, &mut ctx)
 }
 
 /// Runs CULLING for the requested variables (`requests[p]` is processor
@@ -326,7 +317,7 @@ mod tests {
     fn selections_are_minimal_target_sets() {
         let h = hmos();
         let reqs = full_requests(&h, 1024, 3);
-        let out = cull(&h, &reqs, 1.0, false);
+        let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         let spec = TargetSpec { q: 3, k: 2 };
         for sel in out.selected.iter() {
             assert_eq!(sel.len() as u64, spec.minimal_size(2)); // 2^2 = 4
@@ -339,7 +330,7 @@ mod tests {
     fn theorem3_bound_holds_random() {
         let h = hmos();
         let reqs = full_requests(&h, 1024, 7);
-        let out = cull(&h, &reqs, 1.0, false);
+        let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         assert!(out.report.theorem3_holds(), "{:?}", out.report);
         assert_eq!(out.report.iterations.len(), 2);
     }
@@ -349,7 +340,7 @@ mod tests {
         let h = hmos();
         let vars = workload::multi_module_adversary(&h, 1024, 0);
         let reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
-        let out = cull(&h, &reqs, 1.0, false);
+        let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         assert!(out.report.theorem3_holds(), "{:?}", out.report);
     }
 
@@ -360,7 +351,7 @@ mod tests {
         let reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
         // Absurdly tight marking bound: every variable has to fall back;
         // selections must still be valid minimal target sets.
-        let out = cull(&h, &reqs, 0.001, false);
+        let out = cull_with(&h, &reqs, 0.001, &mut ExecCtx::default());
         let spec = TargetSpec { q: 3, k: 2 };
         for sel in &out.selected {
             let leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
@@ -376,7 +367,7 @@ mod tests {
         let mut reqs = full_requests(&h, 1024, 9);
         reqs[5] = None;
         reqs[900] = None;
-        let out = cull(&h, &reqs, 1.0, false);
+        let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         assert!(out.selected[5].is_empty());
         assert!(out.selected[900].is_empty());
         assert_eq!(out.selected[6].len(), 4);
@@ -392,8 +383,12 @@ mod tests {
         let r_small: Vec<Option<u64>> = vars.iter().copied().map(Some).collect();
         let mut r_big = r_small.clone();
         r_big.resize(4096, None);
-        let c_small = cull(&h_small, &r_small, 1.0, false).report.total_steps;
-        let c_big = cull(&h_big, &r_big, 1.0, false).report.total_steps;
+        let c_small = cull_with(&h_small, &r_small, 1.0, &mut ExecCtx::default())
+            .report
+            .total_steps;
+        let c_big = cull_with(&h_big, &r_big, 1.0, &mut ExecCtx::default())
+            .report
+            .total_steps;
         let ratio = c_big as f64 / c_small as f64;
         // √(4096/1024) = 2; shearsort's log factor pushes it a bit above.
         assert!(ratio > 1.3 && ratio < 4.5, "ratio = {ratio}");
@@ -403,8 +398,8 @@ mod tests {
     fn deterministic() {
         let h = hmos();
         let reqs = full_requests(&h, 512, 42);
-        let a = cull(&h, &reqs, 1.0, false);
-        let b = cull(&h, &reqs, 1.0, false);
+        let a = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
+        let b = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.report, b.report);
     }

@@ -463,7 +463,7 @@ pub fn access_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::culling::{cull, select_all};
+    use crate::culling::{cull_with, select_all};
     use crate::pram::PramStep;
     use crate::workload;
     use prasim_hmos::HmosParams;
@@ -483,11 +483,11 @@ mod tests {
         let vars = workload::random_distinct(1024, h.num_variables(), 2);
 
         let wstep = workload::write_step(&vars, 5000);
-        let sel = cull(
+        let sel = cull_with(
             &h,
             &vars.iter().map(|&v| Some(v)).collect::<Vec<_>>(),
             1.0,
-            false,
+            &mut ExecCtx::default(),
         );
         let res = access_protocol(
             &h,
@@ -495,7 +495,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert!(res.reads.iter().all(Option::is_none));
@@ -507,7 +507,7 @@ mod tests {
             &rstep.ops,
             &sel.selected,
             &RunOptions::new(2),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for (p, read) in res.reads.iter().enumerate() {
@@ -522,7 +522,7 @@ mod tests {
         let vars = workload::random_distinct(64, h.num_variables(), 4);
         let mut reqs: Vec<Option<u64>> = vars.iter().copied().map(Some).collect();
         reqs.resize(1024, None);
-        let sel = cull(&h, &reqs, 1.0, false);
+        let sel = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         let mut step = workload::read_step(&vars);
         step.ops.resize(1024, None);
         let res = access_protocol(
@@ -531,7 +531,7 @@ mod tests {
             &step.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for p in 0..64 {
@@ -547,7 +547,7 @@ mod tests {
         let vars = workload::random_distinct(256, h.num_variables(), 6);
         let mut reqs: Vec<Option<u64>> = vars.iter().copied().map(Some).collect();
         reqs.resize(1024, None);
-        let sel = cull(&h, &reqs, 1.0, false);
+        let sel = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         let mut step = workload::read_step(&vars);
         step.ops.resize(1024, None);
         let res = access_protocol(
@@ -556,7 +556,7 @@ mod tests {
             &step.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         // k = 2: stages 3, 2, 1.
@@ -588,7 +588,7 @@ mod tests {
             r[0] = Some(v);
             r
         };
-        let sel = cull(&h, &reqs, 1.0, false);
+        let sel = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         let mut wstep = PramStep {
             ops: vec![None; 1024],
         };
@@ -599,7 +599,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &RunOptions::new(1),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         wstep.ops[0] = Some(Op::Write { var: v, value: 222 });
@@ -609,7 +609,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &RunOptions::new(2),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         let mut rstep = PramStep {
@@ -622,7 +622,7 @@ mod tests {
             &rstep.ops,
             &sel.selected,
             &RunOptions::new(3),
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert_eq!(res.reads[0], Some(222));
@@ -646,7 +646,7 @@ mod tests {
             &wstep.ops,
             &sel.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for p in 0..512 {
@@ -662,7 +662,7 @@ mod tests {
             &rstep.ops,
             &sel.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         for p in 0..512 {
@@ -697,7 +697,7 @@ mod tests {
             &wstep.ops,
             &all.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
 
@@ -719,7 +719,7 @@ mod tests {
             &rstep.ops,
             &all.selected,
             &fresh,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert_ne!(
@@ -739,7 +739,7 @@ mod tests {
             &rstep.ops,
             &all.selected,
             &quorum,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
         assert_eq!(res.reads[0], Some(555));
@@ -774,7 +774,7 @@ mod tests {
             &wstep.ops,
             &all.selected,
             &opts,
-            &mut ExecCtx::from_defaults(),
+            &mut ExecCtx::default(),
         )
         .unwrap();
 
@@ -800,7 +800,7 @@ mod tests {
                 &rstep.ops,
                 &all.selected,
                 &quorum,
-                &mut ExecCtx::from_defaults(),
+                &mut ExecCtx::default(),
             )
             .unwrap();
             // Either the healthy leaves still contain a target set (the

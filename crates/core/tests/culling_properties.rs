@@ -2,9 +2,11 @@
 //! factors, selections are always minimal target sets, Theorem 3 holds
 //! at paper slack, and the procedure is deterministic.
 
-use prasim_core::culling::cull;
+use prasim_core::culling::cull_with;
 use prasim_core::workload;
+use prasim_exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams, TargetSpec};
+use prasim_sortnet::Sorter;
 use proptest::prelude::*;
 
 fn hmos() -> Hmos {
@@ -31,7 +33,7 @@ proptest! {
         if seed.is_multiple_of(3) {
             reqs.rotate_right((seed % 256) as usize);
         }
-        let out = cull(&h, &reqs, slack, false);
+        let out = cull_with(&h, &reqs, slack, &mut ExecCtx::default());
         for (p, sel) in out.selected.iter().enumerate() {
             if reqs[p].is_none() {
                 prop_assert!(sel.is_empty());
@@ -50,7 +52,7 @@ proptest! {
         let vars = workload::random_distinct(active, h.num_variables(), seed);
         let mut reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
         reqs.resize(256, None);
-        let out = cull(&h, &reqs, 1.0, false);
+        let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         prop_assert!(out.report.theorem3_holds(), "{:?}", out.report);
     }
 
@@ -61,8 +63,8 @@ proptest! {
         let vars = workload::random_distinct(64, h.num_variables(), seed);
         let mut reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
         reqs.resize(256, None);
-        let a = cull(&h, &reqs, 1.0, false);
-        let b = cull(&h, &reqs, 1.0, false);
+        let a = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
+        let b = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         prop_assert_eq!(a.selected, b.selected);
     }
 
@@ -73,8 +75,8 @@ proptest! {
         let vars = workload::random_distinct(80, h.num_variables(), seed);
         let mut reqs: Vec<Option<u64>> = vars.into_iter().map(Some).collect();
         reqs.resize(256, None);
-        let a = cull(&h, &reqs, 1.0, false);
-        let b = cull(&h, &reqs, 1.0, true);
+        let a = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
+        let b = cull_with(&h, &reqs, 1.0, &mut ExecCtx::new(1, Sorter::default(), true));
         prop_assert_eq!(a.selected, b.selected);
     }
 }

@@ -25,77 +25,23 @@
 //! - a [`CostLedger`] that decides analytic-vs-measured charging in one
 //!   place (the only caller of [`SortCost::charged`]).
 //!
-//! The [`ExecMode`] process default (`--ctx fresh|reused`) exists for
-//! A/B measurement: `Fresh` makes [`ExecCtx::maybe_renew`] discard the
-//! pools at step boundaries, reproducing the seed's
-//! allocate-and-spawn-per-step behavior; `Reused` (the default) keeps
-//! them. Either way the simulation output is byte-identical — the
-//! context only moves wall clock.
+//! The context is the only way to configure a run: there is no
+//! process-wide thread count, sorter or context mode, and no library
+//! crate reads the environment. [`ExecCtx::default`] is 1 thread and
+//! [`Sorter::default`]; the CLIs parse `--threads`/`--sorter` once and
+//! pass them to [`ExecCtx::new`] (or `SimConfig`). Reusing one context
+//! across steps only moves wall clock — [`ExecCtx::renew`] sheds the
+//! pooled state, and the simulation output is byte-identical either
+//! way.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use prasim_mesh::engine::{default_threads, Engine};
+use prasim_mesh::engine::Engine;
 use prasim_mesh::pool::{EnginePool, WorkerPool};
 use prasim_mesh::topology::MeshShape;
 use prasim_sortnet::columnsort::RouteMemo;
 use prasim_sortnet::shearsort::SortCost;
-use prasim_sortnet::sorter::{default_sorter, Sorter};
-
-/// Whether execution contexts persist their pools across PRAM steps.
-///
-/// Only affects wall clock (allocation and thread spawn/join); simulated
-/// results are byte-identical in both modes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Keep the worker pool, engine pool and route memo across steps
-    /// (the default).
-    #[default]
-    Reused,
-    /// Discard and rebuild the pools at every step boundary — the
-    /// seed's per-step allocation behavior, kept for A/B measurement
-    /// (`reproduce --ctx fresh`, the T18 baseline column).
-    Fresh,
-}
-
-impl ExecMode {
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Reused => "reused",
-            ExecMode::Fresh => "fresh",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "reused" | "reuse" => Some(ExecMode::Reused),
-            "fresh" => Some(ExecMode::Fresh),
-            _ => None,
-        }
-    }
-}
-
-/// 0 = reused (default), 1 = fresh.
-static GLOBAL_EXEC_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Pins the process-wide context mode (the CLI `--ctx` flag).
-pub fn set_global_exec_mode(mode: ExecMode) {
-    let v = match mode {
-        ExecMode::Reused => 0,
-        ExecMode::Fresh => 1,
-    };
-    GLOBAL_EXEC_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide context mode.
-pub fn default_exec_mode() -> ExecMode {
-    match GLOBAL_EXEC_MODE.load(Ordering::Relaxed) {
-        1 => ExecMode::Fresh,
-        _ => ExecMode::Reused,
-    }
-}
+use prasim_sortnet::sorter::Sorter;
 
 /// The single place analytic-vs-measured cost charging is decided.
 ///
@@ -124,11 +70,6 @@ impl CostLedger {
     /// Whether the ledger charges the paper's analytic bounds.
     pub fn analytic(&self) -> bool {
         self.analytic
-    }
-
-    /// Switches charging mode (totals keep accumulating).
-    pub fn set_analytic(&mut self, analytic: bool) {
-        self.analytic = analytic;
     }
 
     /// The steps this cost is worth under the ledger's mode, without
@@ -166,7 +107,6 @@ impl CostLedger {
 pub struct ExecCtx {
     threads: usize,
     sorter: Sorter,
-    mode: ExecMode,
     pool: Arc<WorkerPool>,
     engines: EnginePool,
     ledger: CostLedger,
@@ -177,8 +117,9 @@ pub struct ExecCtx {
 }
 
 impl Default for ExecCtx {
+    /// One worker thread, the default sorter, measured charging.
     fn default() -> Self {
-        Self::from_defaults()
+        Self::new(1, Sorter::default(), false)
     }
 }
 
@@ -188,7 +129,6 @@ impl ExecCtx {
         let mut ctx = ExecCtx {
             threads: threads.max(1),
             sorter,
-            mode: default_exec_mode(),
             pool: Arc::new(WorkerPool::new()),
             engines: EnginePool::new(),
             ledger: CostLedger::new(analytic),
@@ -206,32 +146,14 @@ impl ExecCtx {
         self.engines.configure(self.threads, Arc::clone(&self.pool));
     }
 
-    /// A context picking up the process defaults (`--threads`,
-    /// `--sorter`, `--ctx` / their environment variables), measured
-    /// charging.
-    pub fn from_defaults() -> Self {
-        Self::new(default_threads(), default_sorter(), false)
-    }
-
     /// The configured engine worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Reconfigures the worker-thread count for subsequent engines.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        self.configure_engines();
-    }
-
     /// The configured sorter.
     pub fn sorter(&self) -> Sorter {
         self.sorter
-    }
-
-    /// Reconfigures the sorter.
-    pub fn set_sorter(&mut self, sorter: Sorter) {
-        self.sorter = sorter;
     }
 
     /// The cost ledger.
@@ -317,15 +239,9 @@ impl ExecCtx {
         self.configure_engines();
     }
 
-    /// Applies the process-wide [`ExecMode`]: under
-    /// [`ExecMode::Fresh`], discards pooled state (called by step
-    /// drivers at step boundaries); under [`ExecMode::Reused`], a no-op.
-    pub fn maybe_renew(&mut self) {
-        self.mode = default_exec_mode();
-        if self.mode == ExecMode::Fresh {
-            self.renew();
-        }
-    }
+    // Kept only for stepbench/src/traced.rs, its one caller.
+    #[doc(hidden)]
+    pub fn maybe_renew(&mut self) {}
 }
 
 #[cfg(test)]
@@ -393,7 +309,7 @@ mod tests {
 
     #[test]
     fn scratch_arena_round_trips() {
-        let mut ctx = ExecCtx::from_defaults();
+        let mut ctx = ExecCtx::default();
         let mut slab = ctx.take_arena();
         slab.resize_with(4, Vec::new);
         slab[2].extend([(1, 2), (3, 4)]);
@@ -403,13 +319,5 @@ mod tests {
         assert_eq!(slab2.len(), 4);
         assert!(slab2.iter().all(Vec::is_empty));
         assert_eq!(slab2[2].capacity(), cap, "capacity survives the arena");
-    }
-
-    #[test]
-    fn exec_mode_parses_and_applies() {
-        assert_eq!(ExecMode::parse("fresh"), Some(ExecMode::Fresh));
-        assert_eq!(ExecMode::parse("reused"), Some(ExecMode::Reused));
-        assert_eq!(ExecMode::parse("bogus"), None);
-        assert_eq!(default_exec_mode(), ExecMode::Reused);
     }
 }

@@ -78,39 +78,8 @@ use crate::pool::WorkerPool;
 use crate::region::Rect;
 use crate::topology::{Coord, Dir, MeshShape};
 use crate::trace::LinkTrace;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
-
-/// Process-wide thread-count override installed by [`set_global_threads`]
-/// (0 = unset).
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-/// Cached `PRASIM_THREADS` environment lookup.
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
-
-/// The worker-thread count a fresh [`Engine`] starts with: the override
-/// installed by [`set_global_threads`] if any, else the `PRASIM_THREADS`
-/// environment variable, else 1 (sequential). Results never depend on
-/// the value — only wall-clock time does.
-pub fn default_threads() -> usize {
-    match GLOBAL_THREADS.load(Ordering::Relaxed) {
-        0 => *ENV_THREADS.get_or_init(|| {
-            std::env::var("PRASIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&t| t > 0)
-                .unwrap_or(1)
-        }),
-        t => t,
-    }
-}
-
-/// Installs a process-wide default worker-thread count for every engine
-/// constructed afterwards (CLIs call this from their `--threads` flag so
-/// the knob reaches engines built deep inside the routing and protocol
-/// stages). Clamped to at least 1.
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// A packet in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -631,8 +600,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An empty engine on the given mesh, with the process default
-    /// worker-thread count ([`default_threads`]).
+    /// An empty, sequential (1 worker thread) engine on the given mesh;
+    /// see [`Engine::with_threads`].
     pub fn new(shape: MeshShape) -> Self {
         Engine {
             shape,
@@ -651,7 +620,7 @@ impl Engine {
             stats: EngineStats::default(),
             trace: None,
             faults: None,
-            threads: default_threads(),
+            threads: 1,
             pool: None,
         }
     }
@@ -835,8 +804,7 @@ impl Engine {
     /// Drains the delivered packets in delivery order, materializing each
     /// `(destination node, packet)` pair from the arena on the fly — no
     /// clone, no allocation (the backing buffer keeps its capacity for
-    /// the next run). Prefer this over [`Engine::take_delivered`] in hot
-    /// paths.
+    /// the next run).
     pub fn drain_delivered(&mut self) -> impl Iterator<Item = (u32, Packet)> + '_ {
         let Engine {
             arena, delivered, ..
@@ -844,13 +812,6 @@ impl Engine {
         delivered
             .drain(..)
             .map(move |(node, pkt)| (node, arena.packet(PacketRef(pkt))))
-    }
-
-    /// Drains and returns the delivered packets (destination node index,
-    /// packet) as a fresh vector. Convenience wrapper over
-    /// [`Engine::drain_delivered`].
-    pub fn take_delivered(&mut self) -> Vec<(u32, Packet)> {
-        self.drain_delivered().collect()
     }
 
     /// Lays the resident and pending packets out into `bands` lanes:
@@ -1173,7 +1134,7 @@ mod tests {
         assert_eq!(stats.steps, src.manhattan(dst) as u64);
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.total_hops, src.manhattan(dst) as u64);
-        let d = e.take_delivered();
+        let d = e.drain_delivered().collect::<Vec<_>>();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].0, shape.index(dst));
     }
@@ -1293,7 +1254,7 @@ mod tests {
             assert!(e.in_flight() > 0);
             e.set_threads(threads_after);
             let stats = e.run(10_000).unwrap();
-            (stats, e.take_delivered())
+            (stats, e.drain_delivered().collect::<Vec<_>>())
         };
         let seq = finish(1);
         assert_eq!(seq.0.delivered, 16);
@@ -1319,7 +1280,7 @@ mod tests {
         let stats = e.run(1000).unwrap();
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.dropped, 1);
-        assert_eq!(e.take_delivered().len(), 1);
+        assert_eq!(e.drain_delivered().collect::<Vec<_>>().len(), 1);
     }
 
     #[test]
@@ -1481,7 +1442,7 @@ mod tests {
             }
             let stats = e.run(10_000).unwrap();
             let trace = e.trace().cloned().unwrap();
-            (stats, e.take_delivered(), trace)
+            (stats, e.drain_delivered().collect::<Vec<_>>(), trace)
         };
         let seq = run(1);
         for threads in [2, 3, 5, 16] {
@@ -1513,34 +1474,28 @@ mod tests {
                 e.inject(src, mk(i, dst, b));
             }
             let stats = e.run(10_000).unwrap();
-            (stats, e.take_delivered())
+            (stats, e.drain_delivered().collect::<Vec<_>>())
         };
         assert_eq!(run(1), run(64));
     }
 
-    /// `drain_delivered` yields the same pairs as `take_delivered` and
-    /// leaves the backing buffer reusable.
+    /// `drain_delivered` yields every packet at its destination and
+    /// leaves the backing buffer empty and reusable.
     #[test]
-    fn drain_delivered_matches_take() {
+    fn drain_delivered_empties_the_list() {
         let shape = MeshShape::square(8);
-        let route = |drain: bool| -> Vec<(u32, Packet)> {
-            let mut e = Engine::new(shape);
-            let b = full_bounds(shape);
-            for i in 0..32u64 {
-                let src = Coord::new((i % 8) as u32, (i / 8) as u32);
-                let dst = Coord::new((i / 8) as u32, (i % 8) as u32);
-                e.inject(src, mk(i, dst, b));
-            }
-            e.run(10_000).unwrap();
-            if drain {
-                let out: Vec<_> = e.drain_delivered().collect();
-                assert_eq!(e.drain_delivered().count(), 0, "drain must empty the list");
-                out
-            } else {
-                e.take_delivered()
-            }
-        };
-        assert_eq!(route(true), route(false));
+        let mut e = Engine::new(shape);
+        let b = full_bounds(shape);
+        for i in 0..32u64 {
+            let src = Coord::new((i % 8) as u32, (i / 8) as u32);
+            let dst = Coord::new((i / 8) as u32, (i % 8) as u32);
+            e.inject(src, mk(i, dst, b));
+        }
+        e.run(10_000).unwrap();
+        let out: Vec<_> = e.drain_delivered().collect();
+        assert_eq!(out.len(), 32);
+        assert!(out.iter().all(|&(node, p)| node == shape.index(p.dest)));
+        assert_eq!(e.drain_delivered().count(), 0, "drain must empty the list");
     }
 
     #[cfg(debug_assertions)]

@@ -25,7 +25,7 @@
 //!
 //! Nothing outside tests and benches should use this type.
 
-use crate::engine::{default_threads, EngineError, EngineStats, Packet};
+use crate::engine::{EngineError, EngineStats, Packet};
 use crate::fault::FaultMask;
 use crate::pool::WorkerPool;
 use crate::topology::{Coord, Dir, MeshShape};
@@ -266,8 +266,8 @@ pub struct ReferenceEngine {
 }
 
 impl ReferenceEngine {
-    /// An empty legacy engine on the given mesh, with the process
-    /// default worker-thread count.
+    /// An empty, sequential (1 worker thread) legacy engine on the
+    /// given mesh.
     pub fn new(shape: MeshShape) -> Self {
         ReferenceEngine {
             resident: vec![Vec::new(); shape.nodes() as usize],
@@ -277,7 +277,7 @@ impl ReferenceEngine {
             stats: EngineStats::default(),
             trace: None,
             faults: None,
-            threads: default_threads(),
+            threads: 1,
         }
     }
 

@@ -59,7 +59,7 @@ proptest! {
         let budget = (shape.diameter() as u64 + count as u64 + 1) * 4;
         let stats = engine.run(budget).unwrap();
         prop_assert_eq!(stats.delivered as usize, count);
-        let delivered = engine.take_delivered();
+        let delivered: Vec<_> = engine.drain_delivered().collect();
         for (node, pkt) in delivered {
             prop_assert_eq!(node, shape.index(shape.coord(dests[pkt.tag as usize])));
         }

@@ -50,7 +50,7 @@ fn run_with_threads(
     Outcome {
         result,
         stats: engine.stats(),
-        delivered: engine.take_delivered(),
+        delivered: engine.drain_delivered().collect(),
         trace: flat,
         in_flight: engine.in_flight(),
     }

@@ -77,6 +77,7 @@ mod tests {
     use super::*;
     use crate::flat::route_flat;
     use crate::greedy::route_greedy;
+    use prasim_exec::ExecCtx;
     use prasim_mesh::topology::MeshShape;
 
     #[test]
@@ -124,12 +125,12 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let inst = RoutingInstance::random(shape, 2, seed);
             let lb = lower_bounds(&inst);
-            let g = route_greedy(&inst, 1_000_000).unwrap();
+            let g = route_greedy(&inst, 1_000_000, &mut ExecCtx::default()).unwrap();
             assert!(
                 g.total_steps >= lb.distance,
                 "greedy beat the distance bound"
             );
-            let f = route_flat(&inst, 1_000_000).unwrap();
+            let f = route_flat(&inst, 1_000_000, &mut ExecCtx::default()).unwrap();
             assert!(
                 f.total_steps >= lb.best().min(f.total_steps),
                 "flat beat a lower bound"

@@ -13,32 +13,12 @@ use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::Coord;
 use prasim_sortnet::snake::{snake_coord, snake_index};
-use prasim_sortnet::sorter::Sorter;
 
 /// Routes an `(l1, l2)` instance by sorting by destination and then
-/// greedy-routing from the balanced post-sort positions, using a
-/// default execution context (process-wide sorter and thread count).
-pub fn route_flat(inst: &RoutingInstance, max_steps: u64) -> Result<RoutingOutcome, EngineError> {
-    route_flat_ctx(inst, max_steps, &mut ExecCtx::from_defaults())
-}
-
-/// [`route_flat`] with an explicit mesh sorter for the sort phase.
-pub fn route_flat_with(
-    inst: &RoutingInstance,
-    sorter: Sorter,
-    max_steps: u64,
-) -> Result<RoutingOutcome, EngineError> {
-    let mut ctx = ExecCtx::from_defaults();
-    ctx.set_sorter(sorter);
-    route_flat_ctx(inst, max_steps, &mut ctx)
-}
-
-/// [`route_flat`] on a caller-owned execution context: the sort runs
+/// greedy-routing from the balanced post-sort positions. The sort runs
 /// with the context's sorter and resources, and the route engine comes
-/// from the context's pool — configured with the context's thread count
-/// (previously this path built `Engine::new(shape)` directly and
-/// silently ignored the configured thread count).
-pub fn route_flat_ctx(
+/// from the context's pool with the context's thread count.
+pub fn route_flat(
     inst: &RoutingInstance,
     max_steps: u64,
     ctx: &mut ExecCtx,
@@ -98,7 +78,7 @@ mod tests {
     fn flat_routes_permutation() {
         let shape = MeshShape::square(8);
         let inst = RoutingInstance::permutation(shape, 3);
-        let out = route_flat(&inst, 100_000).unwrap();
+        let out = route_flat(&inst, 100_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 64);
         assert!(out.sort_steps > 0);
     }
@@ -108,7 +88,7 @@ mod tests {
         let shape = MeshShape::square(8);
         for l1 in [1u64, 2, 4] {
             let inst = RoutingInstance::random(shape, l1, 17 + l1);
-            let out = route_flat(&inst, 100_000).unwrap();
+            let out = route_flat(&inst, 100_000, &mut ExecCtx::default()).unwrap();
             assert_eq!(out.delivered, 64 * l1);
         }
     }
@@ -122,8 +102,8 @@ mod tests {
         let shape = MeshShape::square(16);
         let pairs: Vec<(u32, u32)> = (0..256).map(|s| (s, 0)).collect();
         let inst = RoutingInstance { shape, pairs };
-        let flat = route_flat(&inst, 1_000_000).unwrap();
-        let greedy = route_greedy(&inst, 1_000_000).unwrap();
+        let flat = route_flat(&inst, 1_000_000, &mut ExecCtx::default()).unwrap();
+        let greedy = route_greedy(&inst, 1_000_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(flat.delivered, 256);
         assert!(
             flat.route_steps <= greedy.route_steps + 32,
@@ -140,7 +120,7 @@ mod tests {
             shape,
             pairs: vec![],
         };
-        let out = route_flat(&inst, 1000).unwrap();
+        let out = route_flat(&inst, 1000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 0);
     }
 }

@@ -1,15 +1,21 @@
 //! Direct greedy XY routing (the baseline the staged algorithms beat).
 
 use crate::problem::{RoutingInstance, RoutingOutcome};
+use prasim_exec::ExecCtx;
 use prasim_mesh::engine::{Engine, EngineError, Packet};
 use prasim_mesh::region::Rect;
 
 /// Routes every packet straight from its source to its destination with
 /// greedy XY paths and farthest-first contention resolution. No sorting,
 /// no spreading — the naive strategy whose worst cases motivate
-/// Theorem 2's algorithm.
-pub fn route_greedy(inst: &RoutingInstance, max_steps: u64) -> Result<RoutingOutcome, EngineError> {
-    let mut engine = Engine::new(inst.shape);
+/// Theorem 2's algorithm. The engine comes from the context's pool with
+/// the context's thread count.
+pub fn route_greedy(
+    inst: &RoutingInstance,
+    max_steps: u64,
+    ctx: &mut ExecCtx,
+) -> Result<RoutingOutcome, EngineError> {
+    let mut engine = ctx.engine(inst.shape);
     engine.reserve(inst.pairs.len());
     let bounds = Rect::full(inst.shape);
     for (i, &(s, d)) in inst.pairs.iter().enumerate() {
@@ -27,6 +33,7 @@ pub fn route_greedy(inst: &RoutingInstance, max_steps: u64) -> Result<RoutingOut
     let mut out = RoutingOutcome::default();
     out.add_route(stats);
     debug_assert!(verify_delivery(inst, &mut engine));
+    ctx.recycle(engine);
     Ok(out)
 }
 
@@ -51,7 +58,7 @@ mod tests {
     fn greedy_routes_permutation() {
         let shape = MeshShape::square(8);
         let inst = RoutingInstance::permutation(shape, 11);
-        let out = route_greedy(&inst, 100_000).unwrap();
+        let out = route_greedy(&inst, 100_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 64);
         assert!(out.total_steps <= 4 * 14, "steps = {}", out.total_steps);
     }
@@ -60,7 +67,7 @@ mod tests {
     fn greedy_routes_random_l1() {
         let shape = MeshShape::square(8);
         let inst = RoutingInstance::random(shape, 4, 5);
-        let out = route_greedy(&inst, 100_000).unwrap();
+        let out = route_greedy(&inst, 100_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 64 * 4);
         assert_eq!(out.sort_steps, 0);
     }
@@ -71,7 +78,7 @@ mod tests {
         let shape = MeshShape::square(8);
         let pairs: Vec<(u32, u32)> = (0..64).map(|s| (s, 0)).collect();
         let inst = RoutingInstance { shape, pairs };
-        let out = route_greedy(&inst, 100_000).unwrap();
+        let out = route_greedy(&inst, 100_000, &mut ExecCtx::default()).unwrap();
         // 63 packets must cross the two links into node 0: ≥ ~32 steps.
         assert!(out.total_steps >= 31, "steps = {}", out.total_steps);
     }

@@ -20,7 +20,6 @@ use prasim_mesh::topology::Coord;
 use prasim_sortnet::rank::rank_sorted;
 use prasim_sortnet::shearsort::SortCost;
 use prasim_sortnet::snake::{snake_coord, snake_index};
-use prasim_sortnet::sorter::Sorter;
 
 /// Errors from hierarchical routing.
 #[derive(Debug)]
@@ -54,35 +53,10 @@ impl From<EngineError> for HierError {
 }
 
 /// Runs the 4-step `(l1, l2, δ, m)`-routing with the mesh divided into
-/// `parts` submeshes, using a default execution context (process-wide
-/// sorter and thread count).
+/// `parts` submeshes. Sorts use the context's sorter and resources, and
+/// both route engines come from the context's pool with the context's
+/// thread count.
 pub fn route_hierarchical(
-    inst: &RoutingInstance,
-    parts: u64,
-    max_steps: u64,
-) -> Result<RoutingOutcome, HierError> {
-    route_hierarchical_ctx(inst, parts, max_steps, &mut ExecCtx::from_defaults())
-}
-
-/// [`route_hierarchical`] with an explicit mesh sorter for the global
-/// and per-submesh sort phases.
-pub fn route_hierarchical_with(
-    inst: &RoutingInstance,
-    parts: u64,
-    sorter: Sorter,
-    max_steps: u64,
-) -> Result<RoutingOutcome, HierError> {
-    let mut ctx = ExecCtx::from_defaults();
-    ctx.set_sorter(sorter);
-    route_hierarchical_ctx(inst, parts, max_steps, &mut ctx)
-}
-
-/// [`route_hierarchical`] on a caller-owned execution context: sorts use
-/// the context's sorter and resources, and both route engines come from
-/// the context's pool — configured with the context's thread count
-/// (previously these paths built `Engine::new(shape)` directly and
-/// silently ignored the configured thread count).
-pub fn route_hierarchical_ctx(
     inst: &RoutingInstance,
     parts: u64,
     max_steps: u64,
@@ -210,7 +184,7 @@ mod tests {
     fn hierarchical_routes_permutation() {
         let shape = MeshShape::square(8);
         let inst = RoutingInstance::permutation(shape, 1);
-        let out = route_hierarchical(&inst, 4, 100_000).unwrap();
+        let out = route_hierarchical(&inst, 4, 100_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 2 * 64); // step-3 spread + final
     }
 
@@ -218,7 +192,7 @@ mod tests {
     fn hierarchical_routes_random() {
         let shape = MeshShape::square(8);
         let inst = RoutingInstance::random(shape, 3, 23);
-        let out = route_hierarchical(&inst, 4, 100_000).unwrap();
+        let out = route_hierarchical(&inst, 4, 100_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 2 * 64 * 3);
     }
 
@@ -233,8 +207,8 @@ mod tests {
         let parts = 16u64;
         let tess = Tessellation::new(Rect::full(shape), parts).unwrap();
         let inst = RoutingInstance::skewed_per_part(shape, &tess, 1, 99);
-        let hier = route_hierarchical(&inst, parts, 1_000_000).unwrap();
-        let flat = route_flat(&inst, 1_000_000).unwrap();
+        let hier = route_hierarchical(&inst, parts, 1_000_000, &mut ExecCtx::default()).unwrap();
+        let flat = route_flat(&inst, 1_000_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(hier.delivered, 2 * 256);
         assert_eq!(flat.delivered, 256);
         assert!(
@@ -250,7 +224,7 @@ mod tests {
         let shape = MeshShape::square(4);
         let inst = RoutingInstance::permutation(shape, 1);
         assert!(matches!(
-            route_hierarchical(&inst, 1000, 100),
+            route_hierarchical(&inst, 1000, 100, &mut ExecCtx::default()),
             Err(HierError::BadTessellation { .. })
         ));
     }

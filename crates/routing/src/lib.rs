@@ -23,11 +23,12 @@
 //!
 //! ```
 //! use prasim_mesh::topology::MeshShape;
+//! use prasim_exec::ExecCtx;
 //! use prasim_routing::flat::route_flat;
 //! use prasim_routing::problem::RoutingInstance;
 //!
 //! let inst = RoutingInstance::permutation(MeshShape::square(8), 42);
-//! let out = route_flat(&inst, 100_000).unwrap();
+//! let out = route_flat(&inst, 100_000, &mut ExecCtx::default()).unwrap();
 //! assert_eq!(out.delivered, 64);
 //! ```
 
@@ -39,6 +40,7 @@ pub mod hierarchical;
 pub mod problem;
 
 pub use bounds::{lower_bounds, LowerBounds};
-pub use flat::{route_flat, route_flat_ctx, route_flat_with};
-pub use hierarchical::{route_hierarchical, route_hierarchical_ctx, route_hierarchical_with};
+pub use flat::route_flat;
+pub use greedy::route_greedy;
+pub use hierarchical::route_hierarchical;
 pub use problem::{RoutingInstance, RoutingOutcome};

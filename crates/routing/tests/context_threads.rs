@@ -1,27 +1,25 @@
-//! Regression tests: the routing layers and columnsort's route
-//! measurements must run their engines with the configured worker-thread
-//! count. The seed built `Engine::new(shape)` inside
-//! `route_flat`/`route_hierarchical`, and columnsort checked engines out
-//! of the pool without the context's configuration, so `--threads`
-//! silently fell back to the process default on those paths. With the
-//! execution context every engine comes from the context's pool and
-//! carries its thread count.
+//! Regression tests: the routing layers, the baselines and columnsort's
+//! route measurements must run their engines with the configured
+//! worker-thread count. The seed built `Engine::new(shape)` inside
+//! `route_flat`/`route_hierarchical`/`route_greedy`, and columnsort
+//! checked engines out of the pool without the context's configuration,
+//! so `--threads` silently fell back to a process default on those
+//! paths. With the execution context every engine comes from the
+//! context's pool and carries its thread count.
 
+use prasim_core::baseline::{BaselineScheme, FlatHmosSim, MehlhornVishkinSim, SingleCopySim};
+use prasim_core::{workload, PramStep};
 use prasim_exec::ExecCtx;
 use prasim_mesh::topology::MeshShape;
-use prasim_routing::flat::route_flat_ctx;
-use prasim_routing::hierarchical::route_hierarchical_ctx;
 use prasim_routing::problem::RoutingInstance;
-use prasim_routing::{route_flat, route_hierarchical};
+use prasim_routing::{route_flat, route_greedy, route_hierarchical};
 use prasim_sortnet::sorter::Sorter;
 
 /// A context whose only engine users are the route phases: shearsort
 /// runs no engine, so every pool-thread spawn below is attributable to
 /// the routing engines.
 fn ctx_with(threads: usize) -> ExecCtx {
-    let mut ctx = ExecCtx::new(threads, Sorter::Shearsort, false);
-    ctx.set_sorter(Sorter::Shearsort);
-    ctx
+    ExecCtx::new(threads, Sorter::Shearsort, false)
 }
 
 #[test]
@@ -32,10 +30,10 @@ fn flat_route_engine_uses_context_threads() {
     // every packet directly onto its destination).
     let inst = RoutingInstance::random(shape, 2, 5);
     let mut ctx = ctx_with(3);
-    let out = route_flat_ctx(&inst, 100_000, &mut ctx).unwrap();
+    let out = route_flat(&inst, 100_000, &mut ctx).unwrap();
     assert_eq!(out.delivered, 128);
     // With the seed bug the engine ignored the configured count and the
-    // context pool would have spawned nothing (process default is 1).
+    // context pool would have spawned nothing.
     assert_eq!(
         ctx.worker_pool().spawned(),
         3,
@@ -48,22 +46,59 @@ fn hierarchical_route_engines_use_context_threads() {
     let shape = MeshShape::square(8);
     let inst = RoutingInstance::random(shape, 2, 77);
     let mut ctx = ctx_with(2);
-    let out = route_hierarchical_ctx(&inst, 4, 100_000, &mut ctx).unwrap();
+    let out = route_hierarchical(&inst, 4, 100_000, &mut ctx).unwrap();
     assert_eq!(out.delivered, 2 * 64 * 2);
     assert_eq!(ctx.worker_pool().spawned(), 2);
+}
+
+#[test]
+fn greedy_route_engine_uses_context_threads() {
+    let shape = MeshShape::square(8);
+    let inst = RoutingInstance::random(shape, 2, 5);
+    let mut ctx = ctx_with(3);
+    let out = route_greedy(&inst, 100_000, &mut ctx).unwrap();
+    assert_eq!(out.delivered, 128);
+    assert_eq!(
+        ctx.worker_pool().spawned(),
+        3,
+        "greedy engine must shard across the context's 3 workers"
+    );
+}
+
+#[test]
+fn baseline_engines_use_context_threads() {
+    let (threads, sorter) = (3, Sorter::Shearsort);
+    let schemes: Vec<Box<dyn BaselineScheme>> = vec![
+        Box::new(SingleCopySim::new(256, 10_000, threads, sorter).unwrap()),
+        Box::new(MehlhornVishkinSim::new(256, 10_000, 3, threads, sorter).unwrap()),
+        Box::new(FlatHmosSim::new(3, 2, 256, 100, threads, sorter).unwrap()),
+    ];
+    for mut scheme in schemes {
+        let vars = workload::random_distinct(64, 100, 9);
+        scheme.step(&PramStep::reads(&vars)).unwrap();
+        assert_eq!(
+            scheme.exec().worker_pool().spawned(),
+            3,
+            "{} engines must shard across the context's 3 workers",
+            scheme.name()
+        );
+    }
 }
 
 #[test]
 fn context_thread_count_does_not_change_results() {
     let shape = MeshShape::square(8);
     let inst = RoutingInstance::random(shape, 3, 13);
-    let base_flat = route_flat(&inst, 100_000).unwrap();
-    let base_hier = route_hierarchical(&inst, 4, 100_000).unwrap();
+    let mut base = ExecCtx::default();
+    let base_greedy = route_greedy(&inst, 100_000, &mut base).unwrap();
+    let base_flat = route_flat(&inst, 100_000, &mut base).unwrap();
+    let base_hier = route_hierarchical(&inst, 4, 100_000, &mut base).unwrap();
     for threads in [1usize, 2, 3, 7] {
-        let mut ctx = ctx_with(threads);
-        ctx.set_sorter(prasim_sortnet::default_sorter());
-        let f = route_flat_ctx(&inst, 100_000, &mut ctx).unwrap();
-        let h = route_hierarchical_ctx(&inst, 4, 100_000, &mut ctx).unwrap();
+        let mut ctx = ExecCtx::new(threads, Sorter::default(), false);
+        let g = route_greedy(&inst, 100_000, &mut ctx).unwrap();
+        let f = route_flat(&inst, 100_000, &mut ctx).unwrap();
+        let h = route_hierarchical(&inst, 4, 100_000, &mut ctx).unwrap();
+        assert_eq!(g, base_greedy, "threads = {threads}");
         assert_eq!(f, base_flat, "threads = {threads}");
         assert_eq!(h, base_hier, "threads = {threads}");
     }
@@ -87,8 +122,8 @@ fn columnsort_route_engines_use_context_threads() {
 fn columnsort_costs_do_not_depend_on_context_threads() {
     let input: Vec<Vec<u64>> = (0..64u64).map(|x| vec![(x * 37) % 64, x / 3]).collect();
     let mut base = input.clone();
-    let want = Sorter::Columnsort.sort(&mut base, 8, 8, 2);
-    for threads in [1usize, 2, 3] {
+    let want = ExecCtx::new(1, Sorter::Columnsort, false).sort(&mut base, 8, 8, 2);
+    for threads in [2usize, 3] {
         let mut items = input.clone();
         let mut ctx = ExecCtx::new(threads, Sorter::Columnsort, false);
         let cost = ctx.sort(&mut items, 8, 8, 2);

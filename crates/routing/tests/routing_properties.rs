@@ -1,6 +1,7 @@
 //! Property tests: every routing algorithm is a correct delivery
 //! mechanism, and the measured costs respect the trivial lower bounds.
 
+use prasim_exec::ExecCtx;
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::cost::theorem2_bound;
 use prasim_routing::flat::route_flat;
@@ -22,12 +23,12 @@ proptest! {
     #[test]
     fn all_algorithms_deliver(inst in arb_instance()) {
         let total = inst.pairs.len() as u64;
-        let g = route_greedy(&inst, 10_000_000).unwrap();
+        let g = route_greedy(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
         prop_assert_eq!(g.delivered, total);
-        let f = route_flat(&inst, 10_000_000).unwrap();
+        let f = route_flat(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
         prop_assert_eq!(f.delivered, total);
         let parts = (inst.shape.nodes() / 4).clamp(2, 16);
-        let h = route_hierarchical(&inst, parts, 10_000_000).unwrap();
+        let h = route_hierarchical(&inst, parts, 10_000_000, &mut ExecCtx::default()).unwrap();
         prop_assert_eq!(h.delivered, 2 * total); // spread + final deliveries
     }
 
@@ -44,10 +45,10 @@ proptest! {
             .unwrap_or(0);
         let l2 = inst.l2();
         let floor = max_dist.max(l2 / 4);
-        let g = route_greedy(&inst, 10_000_000).unwrap();
+        let g = route_greedy(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
         prop_assert!(g.route_steps >= max_dist.min(floor).min(g.route_steps)); // greedy >= distance
         prop_assert!(g.route_steps >= max_dist, "greedy {} < dist {}", g.route_steps, max_dist);
-        let f = route_flat(&inst, 10_000_000).unwrap();
+        let f = route_flat(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
         // Post-sort positions differ from the originals, so only the
         // serialization floor applies to the route phase.
         prop_assert!(f.route_steps + f.sort_steps >= l2 / 4);
@@ -57,7 +58,7 @@ proptest! {
     /// moderate constant on random instances.
     #[test]
     fn theorem2_ratio_bounded(inst in arb_instance()) {
-        let out = route_flat(&inst, 10_000_000).unwrap();
+        let out = route_flat(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
         let bound = theorem2_bound(inst.l1(), inst.l2(), inst.shape.nodes());
         let ratio = out.total_steps as f64 / bound.max(1.0);
         prop_assert!(ratio < 12.0, "ratio = {ratio} (bound {bound})");
@@ -66,8 +67,8 @@ proptest! {
     /// Determinism: identical instances produce identical outcomes.
     #[test]
     fn deterministic(inst in arb_instance()) {
-        let a = route_flat(&inst, 10_000_000).unwrap();
-        let b = route_flat(&inst, 10_000_000).unwrap();
+        let a = route_flat(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
+        let b = route_flat(&inst, 10_000_000, &mut ExecCtx::default()).unwrap();
         prop_assert_eq!(a, b);
     }
 }

@@ -512,7 +512,10 @@ fn snake_line_sort<T: Ord + Copy>(
 /// `h` keys per node — same contract as [`crate::shearsort::shearsort`]:
 /// `items` is indexed by snake position, on return the concatenation of
 /// the buffers in snake order is sorted and balanced `h` per node (the
-/// trailing nodes hold the remainder).
+/// trailing nodes hold the remainder). `engines` serves the
+/// permutation-route measurements (reusing buffers across measurements
+/// and calls) and `memo` carries the per-shape route costs — both
+/// normally owned by an execution context (`prasim-exec`).
 ///
 /// Cost accounting: the four column-sorting phases charge the *maximum*
 /// measured in-block shearsort (blocks run in parallel); the transpose,
@@ -524,25 +527,6 @@ fn snake_line_sort<T: Ord + Copy>(
 /// # Panics
 /// Panics if any buffer exceeds `h` keys or `items.len() != rows·cols`.
 pub fn columnsort_mesh<T: Ord + Copy>(
-    items: &mut [Vec<T>],
-    rows: u32,
-    cols: u32,
-    h: usize,
-) -> SortCost {
-    // Compatibility entry point: an ephemeral pool + memo. The memo is
-    // wall-clock-only caching (charged costs are identical either way),
-    // so standalone calls lose nothing but the reuse an execution
-    // context would provide.
-    let mut engines = EnginePool::new();
-    let mut memo = RouteMemo::new();
-    columnsort_mesh_with(items, rows, cols, h, &mut engines, &mut memo)
-}
-
-/// [`columnsort_mesh`] with caller-owned execution resources: `engines`
-/// serves the permutation-route measurements (reusing buffers across
-/// measurements and calls) and `memo` carries the per-shape route costs
-/// — both normally owned by an execution context (`prasim-exec`).
-pub fn columnsort_mesh_with<T: Ord + Copy>(
     items: &mut [Vec<T>],
     rows: u32,
     cols: u32,
@@ -654,6 +638,18 @@ pub fn columnsort_mesh_with<T: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Columnsort on throwaway execution resources.
+    fn sort_mesh(items: &mut [Vec<u64>], rows: u32, cols: u32, h: usize) -> SortCost {
+        columnsort_mesh(
+            items,
+            rows,
+            cols,
+            h,
+            &mut EnginePool::new(),
+            &mut RouteMemo::new(),
+        )
+    }
 
     fn lcg(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed | 1;
@@ -770,7 +766,7 @@ mod tests {
             let mut items = mesh_items(n, h, rows as u64 * 131 + h as u64);
             let mut expect: Vec<u64> = items.iter().flatten().copied().collect();
             expect.sort_unstable();
-            let cost = columnsort_mesh(&mut items, rows, cols, h);
+            let cost = sort_mesh(&mut items, rows, cols, h);
             let got: Vec<u64> = items.iter().flatten().copied().collect();
             assert_eq!(got, expect, "rows={rows} cols={cols} h={h}");
             assert!(cost.steps > 0);
@@ -792,7 +788,7 @@ mod tests {
             .collect();
         let mut expect: Vec<u64> = items.iter().flatten().copied().collect();
         expect.sort_unstable();
-        columnsort_mesh(&mut items, rows, cols, h);
+        sort_mesh(&mut items, rows, cols, h);
         let got: Vec<u64> = items.iter().flatten().copied().collect();
         assert_eq!(got, expect);
         let total = expect.len();
@@ -807,8 +803,8 @@ mod tests {
     fn mesh_cost_is_deterministic_and_cached() {
         let mut a = mesh_items(256, 2, 11);
         let mut b = a.clone();
-        let c1 = columnsort_mesh(&mut a, 16, 16, 2);
-        let c2 = columnsort_mesh(&mut b, 16, 16, 2);
+        let c1 = sort_mesh(&mut a, 16, 16, 2);
+        let c2 = sort_mesh(&mut b, 16, 16, 2);
         assert_eq!(c1, c2);
     }
 
@@ -819,13 +815,13 @@ mod tests {
         let mut a = mesh_items(256, 2, 11);
         let mut b = a.clone();
         let mut c = a.clone();
-        let solo = columnsort_mesh(&mut a, 16, 16, 2);
-        let c1 = columnsort_mesh_with(&mut b, 16, 16, 2, &mut engines, &mut memo);
+        let solo = sort_mesh(&mut a, 16, 16, 2);
+        let c1 = columnsort_mesh(&mut b, 16, 16, 2, &mut engines, &mut memo);
         assert_eq!(solo, c1, "context resources must not change the cost");
         assert_eq!(a, b, "context resources must not change the output");
         let measured = memo.len();
         assert!(measured >= 4, "four fixed routes measured");
-        let c2 = columnsort_mesh_with(&mut c, 16, 16, 2, &mut engines, &mut memo);
+        let c2 = columnsort_mesh(&mut c, 16, 16, 2, &mut engines, &mut memo);
         assert_eq!(c1, c2);
         assert_eq!(memo.len(), measured, "repeat shape hits the memo");
         assert!(engines.reused() > 0, "route engines are recycled");
@@ -838,7 +834,7 @@ mod tests {
         let n = (side * side) as usize;
         let mut a = mesh_items(n, 1, 3);
         let mut b = a.clone();
-        let cc = columnsort_mesh(&mut a, side, side, 1);
+        let cc = sort_mesh(&mut a, side, side, 1);
         let sc = shearsort(&mut b, side, side, 1);
         assert_eq!(a, b, "both sorters must agree");
         assert!(

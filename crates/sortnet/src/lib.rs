@@ -48,8 +48,8 @@ pub mod snake;
 pub mod sorter;
 
 pub use broadcast::segmented_broadcast;
-pub use columnsort::{columnsort, columnsort_mesh, columnsort_mesh_with, RouteMemo};
+pub use columnsort::{columnsort, columnsort_mesh, RouteMemo};
 pub use rank::rank_sorted;
 pub use shearsort::{shearsort, shearsort_flat, SortCost};
 pub use snake::snake_index;
-pub use sorter::{default_sorter, set_global_sorter, Sorter};
+pub use sorter::Sorter;

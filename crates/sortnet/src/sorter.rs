@@ -9,19 +9,16 @@
 //!   as the T17 baseline).
 //! - [`Sorter::Columnsort`] — the step-simulated Leighton columnsort of
 //!   [`crate::columnsort::columnsort_mesh`], in the `O(l·√n)` class the
-//!   paper's accounting assumes. **The default.**
+//!   paper's accounting assumes. **The default** ([`Sorter::default`]).
 //!
-//! The process-wide default can be overridden with
-//! [`set_global_sorter`] (the CLI's `--sorter` flag) or the
-//! `PRASIM_SORTER` environment variable; per-run configuration
-//! (`SimConfig::with_sorter`, `RunOptions::with_sorter`, the
-//! `*_with` routing entry points) always wins over the global.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! There is no process-wide sorter: a run names its sorter once, in
+//! `SimConfig::with_sorter` or `ExecCtx::new` (the CLIs' `--sorter`
+//! flag feeds those), and every sort phase reads it from the run's
+//! execution context.
 
 use prasim_mesh::pool::EnginePool;
 
-use crate::columnsort::{columnsort_mesh_with, RouteMemo};
+use crate::columnsort::{columnsort_mesh, RouteMemo};
 use crate::shearsort::{shearsort, SortCost};
 
 /// Selects the step-simulated sorting algorithm used by the simulation.
@@ -40,26 +37,11 @@ impl Sorter {
 
     /// Sorts snake-indexed `h`-key-per-node buffers on a `rows × cols`
     /// submesh (the [`crate::shearsort::shearsort`] contract) with the
-    /// selected algorithm, returning its measured cost.
-    pub fn sort<T: Ord + Copy>(
-        self,
-        items: &mut [Vec<T>],
-        rows: u32,
-        cols: u32,
-        h: usize,
-    ) -> SortCost {
-        // Standalone entry point: ephemeral execution resources. Charged
-        // costs are identical to `sort_with` — pooling only affects wall
-        // clock.
-        let mut engines = EnginePool::new();
-        let mut memo = RouteMemo::new();
-        self.sort_with(items, rows, cols, h, &mut engines, &mut memo)
-    }
-
-    /// [`Sorter::sort`] with caller-owned execution resources (normally
-    /// an execution context's engine pool and columnsort route memo).
-    /// Shearsort needs neither; columnsort uses them for its permutation
-    /// route measurements.
+    /// selected algorithm, returning its measured cost. `engines` and
+    /// `memo` are caller-owned execution resources (normally an
+    /// execution context's engine pool and columnsort route memo);
+    /// shearsort needs neither, columnsort uses them for its
+    /// permutation route measurements.
     pub fn sort_with<T: Ord + Copy>(
         self,
         items: &mut [Vec<T>],
@@ -71,7 +53,7 @@ impl Sorter {
     ) -> SortCost {
         match self {
             Sorter::Shearsort => shearsort(items, rows, cols, h),
-            Sorter::Columnsort => columnsort_mesh_with(items, rows, cols, h, engines, memo),
+            Sorter::Columnsort => columnsort_mesh(items, rows, cols, h, engines, memo),
         }
     }
 
@@ -106,35 +88,6 @@ impl std::str::FromStr for Sorter {
     }
 }
 
-/// 0 = unset, 1 = shearsort, 2 = columnsort.
-static GLOBAL_SORTER: AtomicU8 = AtomicU8::new(0);
-
-/// Pins the process-wide default sorter (the CLI `--sorter` flag).
-pub fn set_global_sorter(s: Sorter) {
-    let v = match s {
-        Sorter::Shearsort => 1,
-        Sorter::Columnsort => 2,
-    };
-    GLOBAL_SORTER.store(v, Ordering::Relaxed);
-}
-
-/// The default sorter for new configurations: the
-/// [`set_global_sorter`] override if set, else the `PRASIM_SORTER`
-/// environment variable, else [`Sorter::Columnsort`].
-pub fn default_sorter() -> Sorter {
-    match GLOBAL_SORTER.load(Ordering::Relaxed) {
-        1 => return Sorter::Shearsort,
-        2 => return Sorter::Columnsort,
-        _ => {}
-    }
-    if let Ok(v) = std::env::var("PRASIM_SORTER") {
-        if let Some(s) = Sorter::parse(v.trim()) {
-            return s;
-        }
-    }
-    Sorter::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,8 +106,16 @@ mod tests {
     fn both_sorters_agree() {
         let mut a: Vec<Vec<u64>> = (0..64u64).rev().map(|x| vec![x, x / 2]).collect();
         let mut b = a.clone();
-        Sorter::Shearsort.sort(&mut a, 8, 8, 2);
-        Sorter::Columnsort.sort(&mut b, 8, 8, 2);
+        for (s, items) in [(Sorter::Shearsort, &mut a), (Sorter::Columnsort, &mut b)] {
+            s.sort_with(
+                items,
+                8,
+                8,
+                2,
+                &mut EnginePool::new(),
+                &mut RouteMemo::new(),
+            );
+        }
         assert_eq!(a, b);
     }
 

@@ -13,10 +13,11 @@
 //! (64×64, h = 4, 6, 9) and two small protocol shapes to the values the
 //! merge-split implementation produced.
 
-use prasim_sortnet::columnsort_mesh;
+use prasim_mesh::pool::EnginePool;
 use prasim_sortnet::key::Key;
 use prasim_sortnet::shearsort::{shearsort, shearsort_flat, SortCost};
 use prasim_sortnet::snake::snake_index;
+use prasim_sortnet::{columnsort_mesh, RouteMemo};
 use proptest::prelude::*;
 
 /// The snake positions forming geometric column `c`, ordered by row.
@@ -316,11 +317,12 @@ fn columnsort_mesh_costs_are_pinned() {
         (9, 6, 6, 4, 201),
         (9, 6, 6, 5, 129),
     ];
+    let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
     for (rows, cols, h, mode, steps) in pinned {
         let mut items = input(rows, cols, h, mode, 60, 0x5eed ^ (rows * cols) as u64);
         let mut expect: Vec<u32> = items.iter().flatten().copied().collect();
         expect.sort_unstable();
-        let cost = columnsort_mesh(&mut items, rows, cols, h);
+        let cost = columnsort_mesh(&mut items, rows, cols, h, &mut engines, &mut memo);
         let got: Vec<u32> = items.iter().flatten().copied().collect();
         assert_eq!(got, expect, "{rows}x{cols} h={h} mode={mode}");
         assert_eq!(

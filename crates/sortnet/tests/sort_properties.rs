@@ -93,7 +93,8 @@ mod columnsort_props {
 }
 
 mod sorter_agreement {
-    use prasim_sortnet::{columnsort_mesh, shearsort::shearsort, Sorter};
+    use prasim_mesh::pool::EnginePool;
+    use prasim_sortnet::{columnsort_mesh, shearsort::shearsort, RouteMemo, Sorter};
     use proptest::prelude::*;
 
     proptest! {
@@ -118,7 +119,7 @@ mod sorter_agreement {
             let mut by_shear = items.clone();
             shearsort(&mut by_shear, rows, cols, h);
             let mut by_col = items.clone();
-            columnsort_mesh(&mut by_col, rows, cols, h);
+            columnsort_mesh(&mut by_col, rows, cols, h, &mut EnginePool::new(), &mut RouteMemo::new());
 
             let shear_flat: Vec<u32> = by_shear.iter().flatten().copied().collect();
             let col_flat: Vec<u32> = by_col.iter().flatten().copied().collect();
@@ -146,11 +147,14 @@ mod sorter_agreement {
             }).collect();
             for sorter in [Sorter::Shearsort, Sorter::Columnsort] {
                 let mut a = items.clone();
-                let ca = sorter.sort(&mut a, rows, cols, 2);
+                let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
+                let ca = sorter.sort_with(&mut a, rows, cols, 2, &mut engines, &mut memo);
                 let mut b = items.clone();
                 let cb = match sorter {
                     Sorter::Shearsort => shearsort(&mut b, rows, cols, 2),
-                    Sorter::Columnsort => columnsort_mesh(&mut b, rows, cols, 2),
+                    Sorter::Columnsort => {
+                        columnsort_mesh(&mut b, rows, cols, 2, &mut engines, &mut memo)
+                    }
                 };
                 prop_assert_eq!(a, b);
                 prop_assert_eq!(ca, cb);

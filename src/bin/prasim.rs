@@ -5,14 +5,15 @@
 //!                  [--workload random|adversarial|strided] [--seed 42]
 //!                  [--slack 1.0] [--analytic]
 //!                  [--policy freshest|quorum] [--threads N]
-//!                  [--sorter shearsort|columnsort] [--ctx fresh|reused]
+//!                  [--sorter shearsort|columnsort]
 //!                  [--dead N] [--sever N] [--lossy N]
 //!                  [--corrupt N] [--freeze N]
 //!                  [--fault-seed S] [--fault-from T]
 //! prasim structure --n 1024 --d 5 [--q 3] [--k 2]
-//! prasim route     --n 1024 [--l1 1] [--algo greedy|flat|hier] [--parts 16]
-//!                  [--threads N] [--sorter shearsort|columnsort]
+//! prasim route     --n 1024 [--l1 1] [--seed 7] [--algo greedy|flat|hier]
+//!                  [--parts 16] [--threads N] [--sorter shearsort|columnsort]
 //! prasim bibd      --q 3 --d 2 [--m 8] [--dot]
+//! prasim help | --help
 //! ```
 //!
 //! Fault flags inject a deterministic [`FaultPlan`]: `--dead`/`--sever`/
@@ -21,18 +22,20 @@
 //! variable the run touches. `--fault-from` delays activation to the
 //! given PRAM step (steps are 1-based). `--policy quorum` reads through
 //! Definition 2's hierarchical majority instead of freshest-timestamp.
-//! `--threads N` shards the mesh engines across N workers (default:
-//! available parallelism); the output is byte-identical for every N.
-//! `--sorter` selects the mesh sorting network used by every sort phase
-//! (default: the step-simulated columnsort; `shearsort` restores the
-//! previous merge-split shearsort). `--ctx` controls whether each
-//! simulation keeps its pooled execution state (worker threads, engines,
-//! sort memo) warm across PRAM steps (`reused`, the default) or rebuilds
-//! it at every step boundary (`fresh`); the output is byte-identical
-//! either way.
+//! `--threads N` (a positive integer) shards the mesh engines across N
+//! workers (default: available parallelism); the output is
+//! byte-identical for every N. `--sorter` selects the mesh sorting
+//! network used by every sort phase (default: the step-simulated
+//! columnsort; `shearsort` restores the previous merge-split
+//! shearsort). Both are parsed once and passed to the run's
+//! configuration; nothing is read from the environment.
+//!
+//! An unknown flag, a flag the command does not take, a value-taking
+//! flag given no value and a malformed value all exit with status 2.
 
 use prasim::bibd::{Bibd, BibdSubgraph};
 use prasim::core::{workload, PramMeshSim, ReadPolicy, SimConfig};
+use prasim::exec::ExecCtx;
 use prasim::fault::{CopyFaultKind, FaultPlan};
 use prasim::hmos::{Hmos, HmosParams, QuorumRead};
 use prasim::mesh::topology::MeshShape;
@@ -41,6 +44,7 @@ use prasim::routing::flat::route_flat;
 use prasim::routing::greedy::route_greedy;
 use prasim::routing::hierarchical::route_hierarchical;
 use prasim::routing::problem::{RoutingInstance, RoutingOutcome};
+use prasim::sortnet::Sorter;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -52,28 +56,29 @@ struct Args {
     switches: Vec<String>,
 }
 
+/// The flags that take no value; every other `--key` needs one.
+const SWITCHES: [&str; 3] = ["analytic", "dot", "help"];
+
 /// Splits raw arguments into positionals, `--key value` pairs and bare
-/// `--switch`es (a `--key` followed by another `--…` or nothing is a
-/// switch).
-fn parse_args(raw: &[String]) -> Args {
+/// `--switch`es ([`SWITCHES`]). A value-taking flag followed by another
+/// `--…` or by nothing is an error.
+fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut out = Args::default();
-    let mut i = 0;
-    while i < raw.len() {
-        let a = &raw[i];
-        if let Some(key) = a.strip_prefix("--") {
-            if i + 1 < raw.len() && !raw[i + 1].starts_with("--") {
-                out.flags.insert(key.to_string(), raw[i + 1].clone());
-                i += 2;
-            } else {
-                out.switches.push(key.to_string());
-                i += 1;
+    let mut it = raw.iter();
+    while let Some(a) = it.next() {
+        match a.strip_prefix("--") {
+            Some(key) if SWITCHES.contains(&key) => out.switches.push(key.to_string()),
+            Some(key) => {
+                let v = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{key} needs a value"))?;
+                out.flags.insert(key.to_string(), v.clone());
             }
-        } else {
-            out.positional.push(a.clone());
-            i += 1;
+            None => out.positional.push(a.clone()),
         }
     }
-    out
+    Ok(out)
 }
 
 impl Args {
@@ -105,42 +110,34 @@ impl Args {
         self.switches.iter().any(|s| s == switch)
     }
 
-    /// Resolves `--threads` (default: available parallelism) and
-    /// installs it as the process-wide engine default, so engines built
-    /// deep inside the routing and protocol stages pick it up too.
-    fn install_threads(&self) -> usize {
+    /// Rejects extra positionals and any flag or switch outside
+    /// `allowed` (the command's flags).
+    fn check(&self, allowed: &[&str]) {
+        if let Some(extra) = self.positional.get(1) {
+            die(&format!("unexpected argument `{extra}`"));
+        }
+        for key in self.flags.keys().chain(&self.switches) {
+            if !allowed.contains(&key.as_str()) {
+                die(&format!("unknown flag `--{key}`"));
+            }
+        }
+    }
+
+    /// `--threads` (default: available parallelism); must be positive.
+    fn threads(&self) -> usize {
         let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = (self.get_u64("threads", default as u64) as usize).max(1);
-        prasim::mesh::engine::set_global_threads(threads);
-        threads
+        match self.get_u64("threads", default as u64) {
+            0 => die("--threads expects a positive integer"),
+            t => t as usize,
+        }
     }
 
-    /// Resolves `--sorter` (default: the process default, itself
-    /// columnsort unless `PRASIM_SORTER` overrides it) and installs it
-    /// as the process-wide sorter so every sort phase picks it up.
-    fn install_sorter(&self) -> prasim::sortnet::Sorter {
-        let sorter = match self.flags.get("sorter") {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| die("--sorter expects shearsort|columnsort")),
-            None => prasim::sortnet::default_sorter(),
-        };
-        prasim::sortnet::set_global_sorter(sorter);
-        sorter
-    }
-
-    /// Resolves `--ctx` (default: the process default, `reused`) and
-    /// installs it as the process-wide execution-context mode, so every
-    /// simulation either keeps its pooled state warm across steps or
-    /// renews it at each step boundary.
-    fn install_ctx_mode(&self) -> prasim::exec::ExecMode {
-        let mode = match self.flags.get("ctx") {
-            Some(v) => prasim::exec::ExecMode::parse(v)
-                .unwrap_or_else(|| die("--ctx expects fresh|reused")),
-            None => prasim::exec::default_exec_mode(),
-        };
-        prasim::exec::set_global_exec_mode(mode);
-        mode
+    /// `--sorter` (default: [`Sorter::default`], columnsort).
+    fn sorter(&self) -> Sorter {
+        self.flags.get("sorter").map_or(Sorter::default(), |v| {
+            v.parse()
+                .unwrap_or_else(|_| die("--sorter expects shearsort|columnsort"))
+        })
     }
 }
 
@@ -152,13 +149,18 @@ fn die(msg: &str) -> ! {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw);
+    let args = parse_args(&raw).unwrap_or_else(|e| die(&e));
+    if args.has("help") {
+        println!("{}", HELP);
+        return ExitCode::SUCCESS;
+    }
     match args.positional.first().map(String::as_str) {
         Some("simulate") => cmd_simulate(&args),
         Some("structure") => cmd_structure(&args),
         Some("route") => cmd_route(&args),
         Some("bibd") => cmd_bibd(&args),
         Some("help") | None => {
+            args.check(&[]);
             println!("{}", HELP);
             ExitCode::SUCCESS
         }
@@ -181,6 +183,27 @@ commands:
 see the source header of src/bin/prasim.rs for all flags";
 
 fn cmd_simulate(args: &Args) -> ExitCode {
+    args.check(&[
+        "n",
+        "memory",
+        "q",
+        "k",
+        "steps",
+        "workload",
+        "seed",
+        "slack",
+        "analytic",
+        "policy",
+        "threads",
+        "sorter",
+        "dead",
+        "sever",
+        "lossy",
+        "corrupt",
+        "freeze",
+        "fault-seed",
+        "fault-from",
+    ]);
     let n = args.get_u64("n", 1024);
     let memory = args.get_u64("memory", 9000);
     let policy = match args.get_str("policy", "freshest") {
@@ -188,8 +211,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
         "quorum" | "majority" => ReadPolicy::HierarchicalMajority,
         other => die(&format!("unknown policy `{other}` (use freshest|quorum)")),
     };
-    let sorter = args.install_sorter();
-    args.install_ctx_mode();
+    let sorter = args.sorter();
     let config = SimConfig::new(n, memory)
         .with_q(args.get_u64("q", 3))
         .with_k(args.get_u64("k", 2) as u32)
@@ -197,7 +219,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
         .with_analytic_sort(args.has("analytic"))
         .with_read_policy(policy)
         .with_sorter(sorter)
-        .with_threads(args.install_threads());
+        .with_threads(args.threads());
     let mut sim = match PramMeshSim::new(config) {
         Ok(s) => s,
         Err(e) => die(&format!("{e}")),
@@ -347,6 +369,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
 }
 
 fn cmd_structure(args: &Args) -> ExitCode {
+    args.check(&["n", "d", "q", "k"]);
     let n = args.get_u64("n", 1024);
     let d = args.get_u64("d", 5) as u32;
     let q = args.get_u64("q", 3);
@@ -389,24 +412,26 @@ fn cmd_structure(args: &Args) -> ExitCode {
 }
 
 fn cmd_route(args: &Args) -> ExitCode {
+    args.check(&["n", "l1", "seed", "algo", "parts", "threads", "sorter"]);
     let n = args.get_u64("n", 1024);
     let shape = match MeshShape::square_of(n) {
         Some(s) => s,
         None => die("--n must be a perfect square"),
     };
-    args.install_threads();
-    args.install_sorter();
-    args.install_ctx_mode();
+    let mut ctx = ExecCtx::new(args.threads(), args.sorter(), false);
     let l1 = args.get_u64("l1", 1);
     let seed = args.get_u64("seed", 7);
     let inst = RoutingInstance::random(shape, l1, seed);
     let lb = lower_bounds(&inst);
     let outcome: RoutingOutcome = match args.get_str("algo", "flat") {
-        "greedy" => route_greedy(&inst, 100_000_000).unwrap_or_else(|e| die(&format!("{e}"))),
-        "flat" => route_flat(&inst, 100_000_000).unwrap_or_else(|e| die(&format!("{e}"))),
+        "greedy" => {
+            route_greedy(&inst, 100_000_000, &mut ctx).unwrap_or_else(|e| die(&format!("{e}")))
+        }
+        "flat" => route_flat(&inst, 100_000_000, &mut ctx).unwrap_or_else(|e| die(&format!("{e}"))),
         "hier" => {
             let parts = args.get_u64("parts", (n / 64).max(2));
-            route_hierarchical(&inst, parts, 100_000_000).unwrap_or_else(|e| die(&format!("{e}")))
+            route_hierarchical(&inst, parts, 100_000_000, &mut ctx)
+                .unwrap_or_else(|e| die(&format!("{e}")))
         }
         other => die(&format!("unknown algorithm `{other}`")),
     };
@@ -431,6 +456,7 @@ fn cmd_route(args: &Args) -> ExitCode {
 }
 
 fn cmd_bibd(args: &Args) -> ExitCode {
+    args.check(&["q", "d", "m", "dot"]);
     let q = args.get_u64("q", 3);
     let d = args.get_u64("d", 2) as u32;
     let bibd = match Bibd::new(q, d) {
@@ -475,7 +501,7 @@ mod tests {
     use super::*;
 
     fn args(words: &[&str]) -> Args {
-        parse_args(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse_args(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     #[test]

@@ -1,0 +1,54 @@
+//! The `prasim` binary rejects what it does not understand: an unknown
+//! or removed flag, a value-taking flag given no value and a malformed
+//! value all exit with status 2 before any simulation runs.
+
+use std::process::Command;
+
+fn prasim(args: &[&str]) -> Option<i32> {
+    Command::new(env!("CARGO_BIN_EXE_prasim"))
+        .args(args)
+        .output()
+        .expect("run prasim")
+        .status
+        .code()
+}
+
+#[test]
+fn bad_arguments_exit_2() {
+    for args in [
+        &["simulate", "--n", "64", "--ctx", "fresh"][..],
+        &["simulate", "--n", "64", "--threads"],
+        &["simulate", "--threads", "--n", "64"],
+        &["simulate", "--n", "64", "--threads", "0"],
+        &["simulate", "--n", "64", "--sorter", "bitonic"],
+        &["route", "--n", "64", "--threads", "0"],
+        &["route", "--n", "64", "--sorter", "bitonic"],
+        &["route", "--n", "64", "--bogus", "1"],
+        &["structure", "--n", "1024", "--threads", "2"],
+        &["bibd", "--q", "x"],
+        &["simulate", "extra"],
+    ] {
+        assert_eq!(prasim(args), Some(2), "prasim {args:?}");
+    }
+}
+
+#[test]
+fn good_arguments_succeed() {
+    for args in [
+        &["--help"][..],
+        &["help"],
+        &["structure", "--n", "1024", "--d", "5"],
+        &[
+            "route",
+            "--n",
+            "64",
+            "--threads",
+            "2",
+            "--sorter",
+            "shearsort",
+        ],
+        &["bibd", "--q", "3", "--d", "2", "--dot"],
+    ] {
+        assert_eq!(prasim(args), Some(0), "prasim {args:?}");
+    }
+}

@@ -195,7 +195,8 @@ proptest! {
         }
         let a_out = arena.run(budget);
         let l_out = legacy.run(budget);
-        let a = engine_transcript(&a_out, &arena.take_delivered(), arena.in_flight(), arena.trace());
+        let delivered: Vec<_> = arena.drain_delivered().collect();
+        let a = engine_transcript(&a_out, &delivered, arena.in_flight(), arena.trace());
         let l = engine_transcript(&l_out, &legacy.take_delivered(), legacy.in_flight(), legacy.trace());
         prop_assert_eq!(a, l);
     }
