@@ -6,7 +6,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use prasim_mesh::engine::{Engine, Packet};
-use prasim_mesh::reference::ReferenceEngine;
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, MeshShape};
 use prasim_routing::problem::SplitMix64;
@@ -69,7 +68,7 @@ fn bench_sequential_small(c: &mut Criterion) {
     g.finish();
 }
 
-/// The T16/T19 workload as a reusable injection list.
+/// The T16 workload as a reusable injection list.
 fn step_workload(shape: MeshShape, per_node: u64) -> Vec<(Coord, Packet)> {
     let bounds = Rect::full(shape);
     let mut rng = SplitMix64(0xC0FFEE ^ shape.nodes());
@@ -97,9 +96,7 @@ fn step_workload(shape: MeshShape, per_node: u64) -> Vec<(Coord, Packet)> {
 /// Warm step throughput: one engine reused across iterations (reset,
 /// inject, run, drain in place), so the measurement sees the arena
 /// engine's steady state — zero allocation — rather than cold buffer
-/// growth. The `reference` entries run the frozen pre-arena engine on
-/// the identical workload; their ratio is the struct-of-arrays speedup
-/// that `BENCH_engine.json` records.
+/// growth.
 fn bench_engine_step(c: &mut Criterion) {
     let shape = MeshShape::square_of(4096).unwrap();
     let w = step_workload(shape, 8);
@@ -124,19 +121,6 @@ fn bench_engine_step(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("reference_t1", |b| {
-        b.iter_batched(
-            || {
-                let mut e = ReferenceEngine::new(shape);
-                for &(src, pkt) in &w {
-                    e.inject(src, pkt);
-                }
-                e
-            },
-            |mut e| black_box(e.run(100_000_000).unwrap().steps),
-            BatchSize::LargeInput,
-        )
-    });
     g.finish();
 }
 

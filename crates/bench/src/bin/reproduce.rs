@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (T1–T19) of EXPERIMENTS.md.
+//! Regenerates every experiment table (T1–T18) of EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p prasim-bench --bin reproduce            # standard sizes
@@ -13,7 +13,7 @@
 //! N workers (default: available parallelism). The tables are
 //! byte-identical for every value — the CI determinism matrix diffs
 //! selected tables across `--threads 1/2/8` to prove it; only the
-//! wall-clock columns of T16/T18/T19 vary.
+//! wall-clock columns of T16/T18 vary.
 //!
 //! `--sorter shearsort|columnsort` selects the mesh sorter behind every
 //! sort phase (default: columnsort). The CI sorter matrix regenerates
@@ -26,14 +26,21 @@
 //!
 //! Whenever T17 runs, its data is also written to `BENCH_sorters.json`
 //! (machine-readable step counts per sorter per `n`); T18 likewise
-//! writes `BENCH_exec.json` (context-reuse throughput data) and T19
-//! writes `BENCH_engine.json` (arena-vs-legacy engine step throughput).
+//! writes `BENCH_exec.json` (context-reuse throughput data). Standard
+//! and full runs write them into the working directory, where the
+//! committed copies live; quick runs write them under
+//! `target/reproduce-quick/`, so a CI-sized run never overwrites them.
 
 use prasim_bench::tables::{self, Table};
 use prasim_sortnet::Sorter;
+use std::path::Path;
 
-const USAGE: &str = "usage: reproduce [quick|full] [T1..T19]... [--threads N] \
+const USAGE: &str = "usage: reproduce [quick|full] [T1..T18]... [--threads N] \
                      [--sorter shearsort|columnsort]";
+
+/// Where quick runs write their JSON artifacts, relative to the
+/// working directory.
+const QUICK_DIR: &str = "target/reproduce-quick";
 
 /// The parsed command line.
 struct Args {
@@ -78,9 +85,18 @@ fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, St
     it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
-/// Whether `id` names one of T1–T19 (case-insensitive).
+/// Whether `id` names one of T1–T18 (case-insensitive).
 fn is_table_id(id: &str) -> bool {
-    (1..=19).any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
+    (1..=18).any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
+}
+
+/// Writes a table's JSON artifact (see the module docs for where).
+fn write_artifact(quick: bool, name: &str, json: &str) {
+    let dir = Path::new(if quick { QUICK_DIR } else { "." });
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, json))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 fn main() {
@@ -196,7 +212,7 @@ fn main() {
         }
         let (table, json) = tables::t17_sorters(&t17_ns, threads);
         out.push(table);
-        std::fs::write("BENCH_sorters.json", json).expect("write BENCH_sorters.json");
+        write_artifact(quick, "BENCH_sorters.json", &json);
     }
     if want("T18") {
         // Context reuse: same workload as T16, run as repeated steps with
@@ -205,22 +221,7 @@ fn main() {
         let (n, ppn, reps) = if quick { (1024, 8, 6) } else { (4096, 16, 8) };
         let (table, json) = tables::t18_context_reuse(n, ppn, reps, threads, sorter);
         out.push(table);
-        std::fs::write("BENCH_exec.json", json).expect("write BENCH_exec.json");
-    }
-    if want("T19") {
-        // Arena vs legacy engine throughput, 16×16 → 128×128 at 1 and 8
-        // threads. Wall-clock columns (steps/s, speedup) vary run to
-        // run; sort/route/delivered/queue are deterministic and the two
-        // engines' stats are asserted equal inside the table builder.
-        let t19_ns: Vec<u64> = if quick {
-            vec![256, 1024, 4096]
-        } else {
-            vec![256, 1024, 4096, 16384]
-        };
-        let reps = if quick { 2 } else { 5 };
-        let (table, json) = tables::t19_engine_throughput(&t19_ns, 16, reps, sorter);
-        out.push(table);
-        std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
+        write_artifact(quick, "BENCH_exec.json", &json);
     }
 
     println!("# prasim — reproduced results\n");

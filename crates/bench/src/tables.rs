@@ -1374,187 +1374,3 @@ pub fn t18_context_reuse(
         json,
     )
 }
-
-/// **T19 (engine step throughput).** Steps-per-second of the
-/// struct-of-arrays arena engine against the frozen pre-arena
-/// [`prasim_mesh::reference::ReferenceEngine`] on identical sorted
-/// routing workloads, swept over mesh sizes and worker-thread counts.
-/// Each workload is the raw T16 traffic (random destinations,
-/// `packets_per_node` per node, the congestion the access protocol's
-/// routing stages actually see); its request keys are also sorted on
-/// the mesh by the configured sorter (so `--sorter
-/// shearsort|columnsort` exercises both sort phases — the sort-steps
-/// column) before the engines route the traffic to completion. Both
-/// engines run the same workload at the same thread count and their
-/// stats are asserted equal — the wall-clock ratio is purely the
-/// storage layout. Also returns the data as a machine-readable JSON
-/// document (`BENCH_engine.json`); the `speedup` entry at `n = 4096`,
-/// 8 threads is the headline number of the arena rewrite.
-pub fn t19_engine_throughput(
-    ns: &[u64],
-    packets_per_node: u64,
-    reps: u64,
-    sorter: Sorter,
-) -> (Table, String) {
-    use prasim_mesh::engine::{Engine, Packet};
-    use prasim_mesh::reference::ReferenceEngine;
-    use prasim_sortnet::snake::snake_index;
-    use std::time::Instant;
-
-    let mut rows = Vec::new();
-    let mut json_entries = Vec::new();
-    let mut headline = None;
-    for &n in ns {
-        let shape = MeshShape::square_of(n).expect("square n");
-        let full = Rect::full(shape);
-
-        // Raw T16 traffic; the request keys are also sorted on the
-        // mesh so the configured sorter's cost lands in the table.
-        let mut rng = SplitMix64(0xC0FFEE ^ n);
-        let mut id = 0u64;
-        let mut items: Vec<Vec<(u32, u64)>> = vec![Vec::new(); shape.nodes() as usize];
-        let mut workload: Vec<(prasim_mesh::topology::Coord, Packet)> =
-            Vec::with_capacity((n * packets_per_node) as usize);
-        for node in 0..shape.nodes() as u32 {
-            let src = shape.coord(node);
-            let pos = snake_index(shape.cols, src.r, src.c) as usize;
-            for _ in 0..packets_per_node {
-                let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
-                items[pos].push((snake_index(shape.cols, dest.r, dest.c), id));
-                workload.push((
-                    src,
-                    Packet {
-                        id,
-                        dest,
-                        bounds: full,
-                        tag: id,
-                    },
-                ));
-                id += 1;
-            }
-        }
-        let mut ctx = ExecCtx::new(1, sorter, false);
-        let sort_cost = ctx.sort(
-            &mut items,
-            shape.rows,
-            shape.cols,
-            packets_per_node as usize,
-        );
-
-        for threads in [1usize, 8] {
-            // Arena engine: one warm instance, reset/inject/run/drain.
-            let mut arena = Engine::new(shape).with_threads(threads);
-            arena.reserve(workload.len());
-            let run_arena = |e: &mut Engine| {
-                e.reset();
-                for &(src, pkt) in &workload {
-                    e.inject(src, pkt);
-                }
-                let stats = e.run(100_000_000).expect("routing finishes");
-                let delivered = e.drain_delivered().count();
-                (stats, delivered)
-            };
-            let warm = run_arena(&mut arena);
-
-            // Legacy engine: same warm-reuse protocol on the frozen
-            // pre-arena implementation.
-            let mut legacy = ReferenceEngine::new(shape).with_threads(threads);
-            let run_legacy = |e: &mut ReferenceEngine| {
-                e.reset();
-                for &(src, pkt) in &workload {
-                    e.inject(src, pkt);
-                }
-                let stats = e.run(100_000_000).expect("routing finishes");
-                let delivered = e.take_delivered().len();
-                (stats, delivered)
-            };
-            let legacy_warm = run_legacy(&mut legacy);
-            assert_eq!(
-                warm, legacy_warm,
-                "arena and legacy engines must agree on every observable"
-            );
-
-            // Interleave the two engines' reps and keep the fastest rep
-            // of each: best-of-N is far more robust to scheduler noise
-            // than a single summed wall, and the interleaving exposes
-            // both engines to the same background interference.
-            let mut arena_wall = f64::INFINITY;
-            let mut legacy_wall = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                assert_eq!(warm, run_arena(&mut arena), "arena run must repeat");
-                arena_wall = arena_wall.min(t0.elapsed().as_secs_f64());
-                let t0 = Instant::now();
-                run_legacy(&mut legacy);
-                legacy_wall = legacy_wall.min(t0.elapsed().as_secs_f64());
-            }
-
-            let (stats, delivered) = warm;
-            let total_steps = stats.steps as f64;
-            let arena_sps = total_steps / arena_wall;
-            let legacy_sps = total_steps / legacy_wall;
-            let speedup = legacy_wall / arena_wall;
-            if n == 4096 && threads == 8 {
-                headline = Some(speedup);
-            }
-            rows.push(vec![
-                n.to_string(),
-                threads.to_string(),
-                sort_cost.steps.to_string(),
-                stats.steps.to_string(),
-                delivered.to_string(),
-                stats.max_queue.to_string(),
-                format!("{legacy_sps:.0}"),
-                format!("{arena_sps:.0}"),
-                format!("{speedup:.2}x"),
-            ]);
-            json_entries.push(format!(
-                "    {{\"n\": {n}, \"threads\": {threads}, \"route_steps\": {}, \
-                 \"legacy_steps_per_s\": {legacy_sps:.3}, \"arena_steps_per_s\": \
-                 {arena_sps:.3}, \"speedup\": {speedup:.4}}}",
-                stats.steps,
-            ));
-        }
-    }
-    let headline = headline.unwrap_or(f64::NAN);
-    let json = format!(
-        "{{\n  \"experiment\": \"T19\",\n  \"sorter\": \"{}\",\n  \"packets_per_node\": \
-         {packets_per_node},\n  \"reps\": {reps},\n  \"entries\": [\n{}\n  ],\n  \
-         \"speedup_n4096_t8\": {headline:.4}\n}}\n",
-        sorter.name(),
-        json_entries.join(",\n"),
-    );
-    (
-        Table {
-            id: "T19",
-            title: format!(
-                "engine step throughput — arena vs legacy storage on the raw T16 \
-                 workload, {packets_per_node} packets/node, {reps} reps, sorter = {} \
-                 (all columns but steps/s and speedup are deterministic)",
-                sorter.name()
-            ),
-            header: [
-                "n",
-                "threads",
-                "sort steps",
-                "route steps",
-                "delivered",
-                "max queue",
-                "legacy steps/s",
-                "arena steps/s",
-                "speedup",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            rows,
-            notes: vec![format!(
-                "same routing policy, same observables, different storage: flat \
-                 struct-of-arrays slots with zero steady-state allocation versus the \
-                 legacy per-node Vec<Flight> queues with per-step scratch; headline \
-                 speedup at n = 4096, 8 threads: {headline:.2}x"
-            )],
-        },
-        json,
-    )
-}

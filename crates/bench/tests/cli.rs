@@ -13,6 +13,7 @@ fn bad_arguments_exit_2() {
         &["quick", "T2", "--threads", "0"],
         &["quick", "T2", "--sorter", "bitonic"],
         &["quick", "T99"],
+        &["quick", "T19"],
         &["--help"],
     ] {
         let status = Command::new(env!("CARGO_BIN_EXE_reproduce"))

@@ -30,9 +30,10 @@
 //! crate reads the environment. [`ExecCtx::default`] is 1 thread and
 //! [`Sorter::default`]; the CLIs parse `--threads`/`--sorter` once and
 //! pass them to [`ExecCtx::new`] (or `SimConfig`). Reusing one context
-//! across steps only moves wall clock — [`ExecCtx::renew`] sheds the
-//! pooled state, and the simulation output is byte-identical either
-//! way.
+//! across steps only moves wall clock: a simulation that swaps in a
+//! fresh [`ExecCtx::new`] before every step produces byte-identical
+//! output. No process-wide state backs a context — a multi-threaded
+//! engine built outside one owns its worker pool.
 
 use std::sync::Arc;
 
@@ -126,24 +127,21 @@ impl Default for ExecCtx {
 impl ExecCtx {
     /// A context with explicit knobs and fresh pools.
     pub fn new(threads: usize, sorter: Sorter, analytic: bool) -> Self {
-        let mut ctx = ExecCtx {
-            threads: threads.max(1),
+        let (threads, pool) = (threads.max(1), Arc::new(WorkerPool::new()));
+        // Every engine the pool hands out — including the ones columnsort
+        // checks out for its route measurements — runs on the context's
+        // thread count and worker pool.
+        let mut engines = EnginePool::new();
+        engines.configure(threads, Arc::clone(&pool));
+        ExecCtx {
+            threads,
             sorter,
-            pool: Arc::new(WorkerPool::new()),
-            engines: EnginePool::new(),
+            pool,
+            engines,
             ledger: CostLedger::new(analytic),
             memo: RouteMemo::new(),
             arena: Vec::new(),
-        };
-        ctx.configure_engines();
-        ctx
-    }
-
-    /// Installs the context's thread count and worker pool on the engine
-    /// pool, so every engine it hands out — including the ones columnsort
-    /// checks out for its route measurements — runs on them.
-    fn configure_engines(&mut self) {
-        self.engines.configure(self.threads, Arc::clone(&self.pool));
+        }
     }
 
     /// The configured engine worker-thread count.
@@ -227,18 +225,6 @@ impl ExecCtx {
         self.arena = slab;
     }
 
-    /// Discards pooled state — engines, memo, arena, worker threads —
-    /// so the next use starts cold (the seed's per-step behavior).
-    pub fn renew(&mut self) {
-        self.engines = EnginePool::new();
-        self.memo = RouteMemo::new();
-        self.arena = Vec::new();
-        // Dropping the old Arc joins its threads once every engine
-        // holding a clone is gone; the replacement spawns lazily.
-        self.pool = Arc::new(WorkerPool::new());
-        self.configure_engines();
-    }
-
     // Kept only for stepbench/src/traced.rs, its one caller.
     #[doc(hidden)]
     pub fn maybe_renew(&mut self) {}
@@ -291,20 +277,6 @@ mod tests {
         let mut again: Vec<Vec<u64>> = (0..256u64).rev().map(|x| vec![x]).collect();
         let c2 = ctx.sort(&mut again, 16, 16, 1);
         assert_eq!(c1, c2, "memoized repeat sorts charge identically");
-    }
-
-    #[test]
-    fn renew_discards_pools() {
-        let mut ctx = ExecCtx::new(2, Sorter::Columnsort, false);
-        let mut items: Vec<Vec<u64>> = (0..64u64).rev().map(|x| vec![x]).collect();
-        ctx.sort(&mut items, 8, 8, 1);
-        let e = ctx.engine(MeshShape::square(8));
-        ctx.recycle(e);
-        assert!(!ctx.route_memo().is_empty());
-        ctx.renew();
-        assert!(ctx.route_memo().is_empty());
-        assert_eq!(ctx.engine_pool().created(), 0);
-        assert_eq!(ctx.worker_pool().spawned(), 0);
     }
 
     #[test]

@@ -67,10 +67,10 @@
 //! **byte-identical for every thread count**. Both paths run the same
 //! per-band code (`compute_lane`/`apply_lane`/`absorb_lane`); the
 //! sequential engine is simply the one-band instance. The property is
-//! enforced by the `parallel_equivalence` proptest suite, by the
-//! `arena_engine_matches_reference` diff against the frozen
-//! [`crate::reference::ReferenceEngine`], and by the CI determinism
-//! matrix, which diffs whole reproduce tables across `--threads 1/2/8`.
+//! enforced by the `engine_oracle` proptest, which pins every thread
+//! count to a sequential textbook oracle (one `Vec` queue per node), and
+//! by the CI determinism matrix, which diffs whole reproduce tables
+//! across `--threads 1/2/8`.
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::fault::FaultMask;
@@ -594,8 +594,9 @@ pub struct Engine {
     /// sequential). Never changes the results, only the wall clock.
     threads: usize,
     /// The persistent worker pool the sharded step loop borrows its
-    /// threads from. `None` falls back to the process-wide shared pool
-    /// ([`WorkerPool::shared`]); an execution context installs its own.
+    /// threads from: an execution context's, installed at checkout, or
+    /// else one the engine builds on its first sharded run and drops
+    /// with itself.
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -676,15 +677,10 @@ impl Engine {
         self.threads
     }
 
-    /// Borrows worker threads from `pool` instead of the process-wide
-    /// shared pool. Execution contexts install their own pool here so
-    /// concurrent simulations never contend on one thread set.
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.set_pool(pool);
-        self
-    }
-
-    /// In-place form of [`Engine::with_pool`].
+    /// Borrows worker threads from `pool` instead of building a pool of
+    /// its own. Execution contexts install theirs here so every engine
+    /// they hand out shares one parked thread set, and concurrent
+    /// simulations never contend on one.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
         self.pool = Some(pool);
     }
@@ -960,16 +956,15 @@ impl Engine {
     }
 
     /// The sharded step loop: `bands` workers borrowed from the
-    /// persistent [`WorkerPool`], exchanging moves through the
+    /// persistent [`WorkerPool`] (the context's, or the engine's own,
+    /// built here on the first sharded run), exchanging moves through the
     /// engine-persistent handoff ring (module docs explain why the result
-    /// is byte-identical to [`Engine::step`]). No threads are spawned and
-    /// no warm buffers are reallocated here — the pool parks its workers
-    /// between runs and every queue swap reuses capacity.
+    /// is byte-identical to [`Engine::step`]). After that first run no
+    /// threads are spawned and no warm buffers are reallocated here — the
+    /// pool parks its workers between runs and every queue swap reuses
+    /// capacity.
     fn run_parallel(&mut self, max_steps: u64, bands: usize) -> Result<EngineStats, EngineError> {
-        let pool = self
-            .pool
-            .clone()
-            .unwrap_or_else(|| Arc::clone(WorkerPool::shared()));
+        let pool = Arc::clone(self.pool.get_or_insert_with(|| Arc::new(WorkerPool::new())));
         let shape = self.shape;
         let cols = shape.cols;
 
@@ -1417,7 +1412,7 @@ mod tests {
 
     /// Full-observable equivalence of the sharded and sequential loops
     /// on a contended instance with faults; the randomized version lives
-    /// in `tests/parallel_equivalence.rs`.
+    /// in `tests/engine_oracle.rs`.
     #[test]
     fn sharded_run_matches_sequential() {
         let shape = MeshShape::square(16);

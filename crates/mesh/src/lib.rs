@@ -22,9 +22,9 @@
 //! - [`pool`]: persistent worker threads (parked between runs, no
 //!   per-run spawn/join) and shape-keyed engine reuse, owned by an
 //!   execution context rather than rebuilt per step.
-//! - [`mod@reference`]: the frozen pre-arena engine, kept as a
-//!   differential-testing oracle and the T19 throughput baseline.
-
+//!
+//! The engine is pinned at every thread count to a sequential textbook
+//! oracle, one `Vec` queue per node, in `tests/engine_oracle.rs`.
 //!
 //! # Example
 //!
@@ -49,7 +49,6 @@ pub mod arena;
 pub mod engine;
 pub mod fault;
 pub mod pool;
-pub mod reference;
 pub mod region;
 pub mod topology;
 pub mod trace;

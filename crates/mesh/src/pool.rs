@@ -18,14 +18,15 @@
 //! survive across the `k+1` protocol stages, CULLING, the baselines and
 //! columnsort's permutation measurements instead of being reallocated
 //! per step. Both pools are owned by an execution context
-//! (`prasim-exec`) rather than by globals; engines without a context
-//! fall back to one process-wide shared [`WorkerPool`].
+//! (`prasim-exec`); there is no process-wide pool. A multi-threaded
+//! engine outside any context builds its own [`WorkerPool`] on its first
+//! sharded run and drops it with itself.
 
 use crate::engine::Engine;
 use crate::topology::MeshShape;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// The job closure: called once per participating worker with the
@@ -116,14 +117,6 @@ impl WorkerPool {
             submit: Mutex::new(()),
             handles: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The process-wide fallback pool used by engines that were not
-    /// handed a context-owned pool. Never torn down; its threads park
-    /// between runs.
-    pub fn shared() -> &'static Arc<WorkerPool> {
-        static SHARED: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-        SHARED.get_or_init(|| Arc::new(WorkerPool::new()))
     }
 
     /// Worker threads spawned so far (high-water mark of `active`).
@@ -302,12 +295,6 @@ impl EnginePool {
     /// Checkouts served by recycling.
     pub fn reused(&self) -> u64 {
         self.reused
-    }
-
-    /// Drops every pooled engine (e.g. when a fresh-context mode wants
-    /// seed-equivalent allocation behavior).
-    pub fn clear(&mut self) {
-        self.free.clear();
     }
 }
 

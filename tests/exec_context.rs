@@ -14,11 +14,8 @@
 //! cross-pollinates the other.
 
 use prasim::core::{Op, PramMeshSim, PramStep, SimConfig};
+use prasim::exec::ExecCtx;
 use prasim::fault::FaultPlan;
-use prasim::mesh::engine::{Engine, Packet};
-use prasim::mesh::reference::ReferenceEngine;
-use prasim::mesh::region::Rect;
-use prasim::mesh::topology::MeshShape;
 use prasim::sortnet::Sorter;
 use proptest::prelude::*;
 
@@ -62,9 +59,10 @@ fn transcript(sim: &mut PramMeshSim, steps: &[PramStep], fresh_per_step: bool) -
     let mut out = Vec::new();
     for step in steps {
         if fresh_per_step {
-            // The seed's behavior: every step rebuilds its worker pool,
-            // engines, memo, and arenas from nothing.
-            sim.exec().renew();
+            // Every step starts from a new context: worker pool, engines,
+            // memo and arenas rebuilt from nothing.
+            let c = sim.exec();
+            *c = ExecCtx::new(c.threads(), c.sorter(), c.ledger().analytic());
         }
         let report = sim.step(step).unwrap();
         out.push(format!("{report:?}"));
@@ -113,92 +111,6 @@ proptest! {
         let a = transcript(&mut build(), &steps, false);
         let b = transcript(&mut build(), &steps, true);
         prop_assert_eq!(a, b);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Arena engine vs the frozen legacy engine.
-// ---------------------------------------------------------------------
-
-/// Byte-exact transcript of everything an engine run observes: run
-/// outcome (stats or budget error), every delivered packet in delivery
-/// order, the remaining in-flight count, and the full link trace.
-fn engine_transcript(
-    outcome: &Result<prasim::mesh::engine::EngineStats, prasim::mesh::engine::EngineError>,
-    delivered: &[(u32, Packet)],
-    in_flight: u64,
-    trace: Option<&prasim::mesh::trace::LinkTrace>,
-) -> String {
-    format!("outcome={outcome:?} delivered={delivered:?} in_flight={in_flight} trace={trace:?}")
-}
-
-/// A deterministic packet workload over a random mesh: `count` packets,
-/// sources and destinations drawn from the whole mesh (self-addressed
-/// packets included — they exercise the absorb-at-injection path).
-fn engine_workload(shape: MeshShape, pairs: &[(u32, u32)]) -> Vec<(u32, Packet)> {
-    let bounds = Rect::full(shape);
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, d))| {
-            let n = shape.nodes() as u32;
-            (
-                s % n,
-                Packet {
-                    id: i as u64,
-                    dest: shape.coord(d % n),
-                    bounds,
-                    tag: i as u64,
-                },
-            )
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The struct-of-arrays engine and the frozen pre-arena
-    /// [`ReferenceEngine`] must agree on every observable — stats,
-    /// delivered order, traces, fault drops — over random meshes,
-    /// worker-thread counts and fault plans. The two implementations
-    /// share no storage code, so agreement here pins the arena layout
-    /// to the legacy semantics bit for bit.
-    #[test]
-    fn arena_engine_matches_reference(
-        rows in 2u32..9,
-        cols in 2u32..9,
-        pairs in prop::collection::vec((0u32..64, 0u32..64), 1..96),
-        threads in prop::sample::select(&[1usize, 2, 3, 7]),
-        faults in prop::option::of((0u64..3, 0u64..3, 0u64..3, 0u64..1024)),
-        budget in prop::sample::select(&[4u64, 10_000]),
-    ) {
-        let shape = MeshShape { rows, cols };
-        let mask = faults.map(|(dead, severed, lossy, seed)| {
-            let mut plan = FaultPlan::new(seed);
-            plan.random_dead_nodes(shape, dead, 0);
-            plan.random_severed_links(shape, severed, 0);
-            plan.random_lossy_links(shape, lossy, 400, 0);
-            plan.mask_at(shape, 0)
-        });
-        let w = engine_workload(shape, &pairs);
-
-        let mut arena = Engine::new(shape).with_threads(threads).with_trace();
-        let mut legacy = ReferenceEngine::new(shape).with_threads(threads).with_trace();
-        if let Some(m) = &mask {
-            arena = arena.with_faults(m.clone());
-            legacy = legacy.with_faults(m.clone());
-        }
-        for &(src, pkt) in &w {
-            arena.inject(shape.coord(src), pkt);
-            legacy.inject(shape.coord(src), pkt);
-        }
-        let a_out = arena.run(budget);
-        let l_out = legacy.run(budget);
-        let delivered: Vec<_> = arena.drain_delivered().collect();
-        let a = engine_transcript(&a_out, &delivered, arena.in_flight(), arena.trace());
-        let l = engine_transcript(&l_out, &legacy.take_delivered(), legacy.in_flight(), legacy.trace());
-        prop_assert_eq!(a, l);
     }
 }
 
