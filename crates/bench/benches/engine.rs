@@ -6,6 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use prasim_mesh::engine::{Engine, Packet};
+use prasim_mesh::fault::FaultMask;
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, MeshShape};
 use prasim_routing::problem::SplitMix64;
@@ -121,6 +122,33 @@ fn bench_engine_step(c: &mut Criterion) {
             })
         });
     }
+    // The `arena_t1` workload around 4 fixed dead nodes: the faulted
+    // step loop, clear-node fast path and detours included. `reset`
+    // drops the mask and `with_faults` consumes the engine, so each
+    // cycle re-installs a copy of the mask.
+    let mut mask = FaultMask::new(shape);
+    for (r, c) in [(16, 16), (16, 47), (47, 16), (47, 47)] {
+        mask.kill_node(Coord::new(r, c));
+    }
+    let faulted_cycle = |mut engine: Engine| {
+        engine.reset();
+        let mut engine = engine.with_faults(mask.clone());
+        for &(src, pkt) in &w {
+            engine.inject(src, pkt);
+        }
+        let steps = engine.run(100_000_000).unwrap().steps;
+        black_box(engine.drain_delivered().count());
+        (engine, steps)
+    };
+    // Warmup sizes every buffer before the first sample.
+    let mut engine = Some(faulted_cycle(Engine::new(shape)).0);
+    g.bench_function("faulted_t1", |b| {
+        b.iter(|| {
+            let (warm, steps) = faulted_cycle(engine.take().unwrap());
+            engine = Some(warm);
+            steps
+        })
+    });
     g.finish();
 }
 

@@ -5,7 +5,7 @@
 //! tags and detour budgets as parallel arrays indexed by a [`PacketRef`]
 //! (the packet's injection ordinal as a `u32`). Queues, handoff buffers
 //! and the delivered list then carry 4-byte references instead of 48-byte
-//! [`Packet`]s, so a queue slot fits in 12 bytes, the hot arbitration
+//! [`Packet`]s, so a queue slot fits in 20 bytes, the hot arbitration
 //! loop streams over dense arrays, and draining delivered packets never
 //! clones anything — [`PacketArena::packet`] materializes the public
 //! boundary type on demand.

@@ -20,12 +20,15 @@
 //! bounds and tags as parallel arrays indexed by a
 //! [`PacketRef`]. The per-node queues are
 //! *windows into one flat slot array per band*: node `i` of a band owns
-//! `buf[heads[i] .. heads[i] + lens[i]]`, where each 12-byte `Slot`
-//! holds the arena index plus the only per-hop mutable state (detour
-//! count, last direction). The slot array is double-buffered: the apply
-//! half-step sizes the shadow buffer to exactly the survivor + arrival
-//! count, copies survivors node by node and scatters arrivals behind
-//! them, then flips `cur`. Every buffer — slot arrays, handoff queues,
+//! `buf[heads[i] .. heads[i] + lens[i]]`, where each 20-byte `Slot`
+//! holds the arena index, a cached copy of the destination and the only
+//! per-hop mutable state (detour count, last direction). The slot array
+//! is double-buffered: the apply half-step sizes the shadow buffer to
+//! exactly the survivor + arrival count, copies survivors node by node
+//! and scatters arrivals behind them, then flips `cur`. Absorption then
+//! scans only each node's arrival tail: a survivor was already resident
+//! after the previous absorption, so it is neither at its destination
+//! nor on a dead node. Every buffer — slot arrays, handoff queues,
 //! staging, removal scratch, the delivered list — is owned by the engine
 //! and cleared (never dropped) between steps and runs, so after warmup
 //! the step loop performs **zero heap allocation**; the
@@ -35,6 +38,22 @@
 //! [`Packet`] remains the public boundary type: callers inject and drain
 //! whole packets; [`Engine::drain_delivered`] materializes them from the
 //! arena on the way out without cloning anything heap-allocated.
+//!
+//! # Faulted runs
+//!
+//! Without a [`FaultMask`] (or with an empty one) the compute half-step
+//! is a plain greedy XY loop. With faults, a packet's direction comes
+//! from a detour decision (`StepCtx::choose_dir`) that avoids severed
+//! links and dead nodes, prefers improving hops and spends a bounded
+//! detour budget. That decision only differs from greedy XY next to a
+//! fault, so each occupied node is classified once per step with
+//! [`FaultMask::node_clear`] (no severed out-link, no dead neighbour).
+//! On a clear node a packet takes its greedy hop directly unless that
+//! hop would undo its previous one, which the detour decision refuses;
+//! every other packet takes the full decision. Lossy links keep every
+//! node clear: each traversal's loss is decided as the packet moves.
+//! Faulted routes therefore cost about what fault-free ones do, except
+//! right beside a fault.
 //!
 //! # Sharded parallel execution
 //!
@@ -143,13 +162,14 @@ impl std::error::Error for EngineError {}
 /// `Slot::last_dir` value meaning "no previous hop".
 const NO_DIR: u8 = 4;
 
-/// One queue entry: the arena index of the packet, a cached copy of its
-/// (immutable) destination, and the only per-hop mutable flight state
-/// (fault-detour bookkeeping). The destination is duplicated out of the
-/// arena because both hot scans — arbitration and absorption — need it
-/// for every resident packet every step; reading it from the slot keeps
-/// those scans streaming over one dense array instead of gathering from
-/// the arena's destination column at random. Keeping the mutable state
+/// One queue entry (20 bytes): the arena index of the packet, a cached
+/// copy of its (immutable) destination, and the only per-hop mutable
+/// flight state (fault-detour bookkeeping). The destination is
+/// duplicated out of the arena because both hot scans need it —
+/// arbitration for every resident packet, absorption for every arrival,
+/// every step; reading it from the slot keeps those scans streaming over
+/// one dense array instead of gathering from the arena's destination
+/// column at random. Keeping the mutable state
 /// in the slot — it moves *with* the packet between buffers and bands —
 /// means no band ever writes to a shared arena row, so the parallel step
 /// needs no synchronization beyond the handoff swap.
@@ -166,6 +186,8 @@ struct Slot {
     /// front of a blocked wall.
     last_dir: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 20);
 
 /// Filler for freshly sized shadow-buffer positions; every live position
 /// is overwritten before it is read.
@@ -215,13 +237,18 @@ impl StepCtx<'_> {
 
     /// The direction a packet wants to leave `here` by, together with
     /// whether that hop is a detour (does not reduce the distance to the
-    /// destination). `None` means the packet is stuck and must be
-    /// dropped. Without faults this is exactly greedy XY.
-    fn choose_dir(&self, here: Coord, arena: &PacketArena, s: Slot) -> Option<(Dir, bool)> {
+    /// destination); `greedy` is its greedy XY direction. `None` means
+    /// the packet is stuck and must be dropped. Without faults this is
+    /// exactly greedy XY.
+    fn choose_dir(
+        &self,
+        here: Coord,
+        arena: &PacketArena,
+        s: Slot,
+        greedy: Dir,
+    ) -> Option<(Dir, bool)> {
         let r = PacketRef(s.pkt);
         let dest = s.dest;
-        let greedy = Self::next_dir(here, dest)
-            .expect("resident packet at destination should have been absorbed");
         let mask = match self.faults {
             Some(m) if !m.is_empty() => m,
             _ => return Some((greedy, false)),
@@ -390,18 +417,34 @@ fn compute_lane(
                 }
             }
         } else {
+            // Faulted path. On a clear node — no severed out-link, no
+            // dead neighbour — `choose_dir` answers the greedy XY hop as
+            // a non-detour: greedy is its first candidate, the hop stays
+            // inside the bounds, its link is intact, its target alive,
+            // and it improves, so the detour budget is moot. The one
+            // exception is its reversal filter, so a packet whose greedy
+            // hop would undo its last hop still takes the full decision.
+            let clear = ctx.faults.is_some_and(|m| m.node_clear(idx));
             for (pos, s) in q.iter().enumerate() {
-                match ctx.choose_dir(here, arena, *s) {
+                let greedy = StepCtx::next_dir(here, s.dest)
+                    .expect("resident packet at destination should have been absorbed");
+                let choice = if clear && s.last_dir != greedy.opposite().index() as u8 {
+                    Some((greedy, false))
+                } else {
+                    ctx.choose_dir(here, arena, *s, greedy)
+                };
+                match choice {
                     Some((dir, detour)) => {
                         let d = dir.index();
                         let dist = here.manhattan(s.dest);
-                        let id = arena.id(PacketRef(s.pkt));
                         let better = match best[d] {
                             None => true,
-                            Some((bd, bid, _, _)) => dist > bd || (dist == bd && id < bid),
+                            Some((bd, bid, _, _)) => {
+                                dist > bd || (dist == bd && arena.id(PacketRef(s.pkt)) < bid)
+                            }
                         };
                         if better {
-                            best[d] = Some((dist, id, pos as u32, detour));
+                            best[d] = Some((dist, arena.id(PacketRef(s.pkt)), pos as u32, detour));
                         }
                     }
                     None => removals.push((pos as u32, ACT_STUCK)),
@@ -511,13 +554,25 @@ fn apply_lane(lane: &mut Lane) -> usize {
 /// drops anything resident on a dead node), appending `(node, arena
 /// index)` pairs to `lane.delivered` in node order. Returns the dead-node
 /// drop count.
-fn absorb_lane(shape: MeshShape, faults: Option<&FaultMask>, lane: &mut Lane) -> u64 {
+///
+/// With `arrivals_only` (right after [`apply_lane`]) only each window's
+/// arrival tail is scanned: the survivors in front of it were resident
+/// after the previous absorption, so none is at its destination or on a
+/// dead node. Swap-removal over the tail then leaves the window exactly
+/// as a full scan would, so the delivered order is unchanged.
+fn absorb_lane(
+    shape: MeshShape,
+    faults: Option<&FaultMask>,
+    lane: &mut Lane,
+    arrivals_only: bool,
+) -> u64 {
     let Lane {
         node0,
         buf,
         cur,
         heads,
         lens,
+        arrivals,
         delivered,
         ..
     } = lane;
@@ -525,14 +580,22 @@ fn absorb_lane(shape: MeshShape, faults: Option<&FaultMask>, lane: &mut Lane) ->
     let mut dropped = 0u64;
     for local in 0..lens.len() {
         let mut len = lens[local] as usize;
-        if len == 0 {
+        let mut i = if arrivals_only {
+            len - arrivals[local] as usize
+        } else {
+            0
+        };
+        if i == len {
             continue;
         }
         let head = heads[local] as usize;
         let idx = *node0 + local as u32;
         let here = shape.coord(idx);
         let dead_here = faults.is_some_and(|m| m.node_dead(idx));
-        let mut i = 0;
+        debug_assert!(
+            i == 0 || (!dead_here && buf[head..head + i].iter().all(|s| s.dest != here)),
+            "a survivor is at its destination or on a dead node"
+        );
         while i < len {
             if dead_here {
                 len -= 1;
@@ -775,7 +838,7 @@ impl Engine {
         let bands = self.threads.max(1).min(self.shape.rows as usize).max(1);
         self.layout(bands);
         // Deliver packets already at their destination (zero-distance).
-        self.absorb_start();
+        self.absorb(false);
         if bands <= 1 || self.in_flight == 0 {
             while self.in_flight > 0 {
                 if self.stats.steps >= max_steps {
@@ -905,8 +968,10 @@ impl Engine {
         }
     }
 
-    /// Run-start absorption across all lanes in band (= node) order.
-    fn absorb_start(&mut self) {
+    /// Absorption across all lanes in band (= node) order: of every
+    /// resident at run start, of the arrival tails after a step (see
+    /// [`absorb_lane`]).
+    fn absorb(&mut self, arrivals_only: bool) {
         let Engine {
             shape,
             faults,
@@ -917,7 +982,7 @@ impl Engine {
             ..
         } = self;
         for lane in lanes.iter_mut() {
-            let dropped = absorb_lane(*shape, faults.as_ref(), lane);
+            let dropped = absorb_lane(*shape, faults.as_ref(), lane, arrivals_only);
             stats.dropped += dropped;
             stats.delivered += lane.delivered.len() as u64;
             *in_flight -= dropped + lane.delivered.len() as u64;
@@ -952,7 +1017,7 @@ impl Engine {
         let max_queue = apply_lane(lane);
         self.stats.steps += 1;
         self.stats.max_queue = self.stats.max_queue.max(max_queue);
-        self.absorb_start();
+        self.absorb(true);
     }
 
     /// The sharded step loop: `bands` workers borrowed from the
@@ -1055,7 +1120,7 @@ impl Engine {
                     slot.clear();
                 }
                 let max_queue = apply_lane(lane);
-                let dead_drops = absorb_lane(shape, faults, lane);
+                let dead_drops = absorb_lane(shape, faults, lane, true);
                 {
                     let mut out = step_out[b].lock().unwrap();
                     out.hops = hops;
@@ -1348,6 +1413,129 @@ mod tests {
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.dropped, 1);
         assert_eq!(e.in_flight(), 0);
+    }
+
+    /// Routes one packet from `src` to `dest` under `mask` and returns
+    /// the run's stats and link trace.
+    fn route_one(mask: FaultMask, src: Coord, dest: Coord) -> (EngineStats, LinkTrace) {
+        let shape = mask.shape();
+        let mut e = Engine::new(shape).with_trace().with_faults(mask);
+        e.inject(src, mk(0, dest, full_bounds(shape)));
+        let stats = e.run(1000).unwrap();
+        (stats, e.trace().cloned().unwrap())
+    }
+
+    /// Asserts the trace holds exactly the hops `path` lists, one each.
+    fn assert_path(trace: &LinkTrace, path: &[((u32, u32), Dir)]) {
+        for &((r, c), dir) in path {
+            assert_eq!(trace.count(Coord::new(r, c), dir), 1, "({r},{c}) {dir:?}");
+        }
+        assert_eq!(trace.total(), path.len() as u64);
+    }
+
+    /// A packet pushed east by a severed link reaches a clear node whose
+    /// greedy hop (west) would undo that detour; the reversal filter
+    /// turns it north instead, so it must not take the greedy hop.
+    #[test]
+    fn clear_node_keeps_the_reversal_filter() {
+        let shape = MeshShape::square(4);
+        let mut mask = FaultMask::new(shape);
+        mask.sever_link(Coord::new(2, 0), Dir::North);
+        assert!(mask.node_clear(shape.index(Coord::new(2, 1))));
+        let (stats, trace) = route_one(mask, Coord::new(2, 0), Coord::new(0, 0));
+        assert_eq!((stats.delivered, stats.dropped), (1, 0));
+        assert_path(
+            &trace,
+            &[
+                ((2, 0), Dir::East),
+                ((2, 1), Dir::North),
+                ((1, 1), Dir::West),
+                ((1, 0), Dir::North),
+            ],
+        );
+    }
+
+    /// A node beside a dead node is not clear: its greedy hop into the
+    /// dead node (which is not the destination) must be refused.
+    #[test]
+    fn node_beside_a_dead_node_detours() {
+        let shape = MeshShape { rows: 4, cols: 8 };
+        let mut mask = FaultMask::new(shape);
+        mask.kill_node(Coord::new(1, 2));
+        assert!(!mask.node_clear(shape.index(Coord::new(1, 1))));
+        let (stats, trace) = route_one(mask, Coord::new(1, 0), Coord::new(1, 5));
+        assert_eq!((stats.delivered, stats.dropped), (1, 0));
+        assert_path(
+            &trace,
+            &[
+                ((1, 0), Dir::East),
+                ((1, 1), Dir::North),
+                ((0, 1), Dir::East),
+                ((0, 2), Dir::East),
+                ((0, 3), Dir::East),
+                ((0, 4), Dir::East),
+                ((0, 5), Dir::South),
+            ],
+        );
+    }
+
+    /// Severing `(1,2)–(1,3)` from its west endpoint also severs the
+    /// west out-link of `(1,3)`: a packet arriving there from the east
+    /// must detour rather than cross it.
+    #[test]
+    fn severed_link_blocks_its_far_endpoint() {
+        let shape = MeshShape { rows: 4, cols: 8 };
+        let mut mask = FaultMask::new(shape);
+        mask.sever_link(Coord::new(1, 2), Dir::East);
+        assert!(!mask.node_clear(shape.index(Coord::new(1, 3))));
+        let (stats, trace) = route_one(mask, Coord::new(1, 6), Coord::new(1, 0));
+        assert_eq!((stats.delivered, stats.dropped), (1, 0));
+        assert_path(
+            &trace,
+            &[
+                ((1, 6), Dir::West),
+                ((1, 5), Dir::West),
+                ((1, 4), Dir::West),
+                ((1, 3), Dir::North),
+                ((0, 3), Dir::West),
+                ((0, 2), Dir::West),
+                ((0, 1), Dir::West),
+                ((0, 0), Dir::South),
+            ],
+        );
+    }
+
+    /// Lossy links leave every node clear: packets keep their greedy XY
+    /// paths and each traversal is still decided per hop, so a link that
+    /// loses everything drops exactly the packets whose path crosses it.
+    #[test]
+    fn lossy_only_mask_keeps_greedy_paths() {
+        let shape = MeshShape::square(8);
+        let mut mask = FaultMask::new(shape);
+        mask.degrade_link(Coord::new(3, 3), Dir::East, 1000);
+        assert!((0..shape.nodes() as u32).all(|i| mask.node_clear(i)));
+        let mut e = Engine::new(shape).with_faults(mask);
+        let b = full_bounds(shape);
+        // Transpose: (r, c) -> (c, r), id r·8 + c. Only row-3 sources
+        // east of the link cross it, at hop c − 3 of their XY path.
+        let mut hops = 0;
+        for r in 0..8 {
+            for c in 0..8 {
+                let (src, dst) = (Coord::new(r, c), Coord::new(c, r));
+                e.inject(src, mk((r * 8 + c) as u64, dst, b));
+                hops += if r == 3 && c >= 4 {
+                    c - 3
+                } else {
+                    src.manhattan(dst)
+                };
+            }
+        }
+        let stats = e.run(10_000).unwrap();
+        assert_eq!((stats.delivered, stats.dropped), (60, 4));
+        assert_eq!(stats.total_hops, hops as u64);
+        let delivered: Vec<u64> = e.drain_delivered().map(|(_, p)| p.id).collect();
+        let lost: Vec<u64> = (0..64).filter(|id| !delivered.contains(id)).collect();
+        assert_eq!(lost, [28, 29, 30, 31]);
     }
 
     #[test]

@@ -22,14 +22,16 @@
 //!
 //! # Storage
 //!
-//! The mask sits on the engine's hottest paths — `node_dead` runs per
-//! queue scan and `link_severed` per candidate direction of every detour
-//! decision — so faults are stored as dense bitsets rather than hash
-//! maps: one bit per node for liveness, one bit per directed `(node,
-//! dir)` key for severed links, and a dense `u16` per-mille table for
-//! lossy links. The link tables are allocated lazily on the first
-//! sever/degrade, so the common all-links-healthy mask costs one
-//! `nodes / 8`-byte liveness bitset and nothing else.
+//! The mask sits on the engine's hottest paths — `node_clear` (one
+//! severed-nibble load, up to four neighbour liveness bits) runs once
+//! per occupied node per step, `node_dead` once per node that receives
+//! packets, and `link_severed` per candidate direction of every detour
+//! decision next to a fault — so faults are stored as dense bitsets
+//! rather than hash maps: one bit per node for liveness, one bit per
+//! directed `(node, dir)` key for severed links, and a dense `u16`
+//! per-mille table for lossy links. The link tables are allocated lazily
+//! on the first sever/degrade, so the common all-links-healthy mask
+//! costs one `nodes / 8`-byte liveness bitset and nothing else.
 
 use crate::topology::{Coord, Dir, MeshShape};
 
@@ -162,6 +164,32 @@ impl FaultMask {
         self.severed[key / 64] >> (key % 64) & 1 != 0
     }
 
+    /// Whether no fault borders the node with this index: none of its
+    /// out-links is severed and none of its neighbours is dead. From such
+    /// a node every improving hop inside a packet's bounds is usable, so
+    /// the engine routes its packets greedily without a per-packet
+    /// detour decision. Lossy links do not count; their losses are
+    /// decided per traversal.
+    #[inline]
+    pub fn node_clear(&self, idx: u32) -> bool {
+        if !self.severed.is_empty() {
+            // The node's four directed keys are one aligned nibble.
+            let key = link_key(idx, Dir::North);
+            if self.severed[key / 64] >> (key % 64) & 0xF != 0 {
+                return false;
+            }
+        }
+        if self.dead_count == 0 {
+            return true;
+        }
+        let here = self.shape.coord(idx);
+        Dir::ALL.into_iter().all(|d| {
+            self.shape
+                .step(here, d)
+                .is_none_or(|next| !self.node_dead(self.shape.index(next)))
+        })
+    }
+
     /// The loss rate of the link out of `idx` in direction `dir`, in
     /// per-mille (0 = lossless).
     #[inline]
@@ -256,6 +284,27 @@ mod tests {
         assert_eq!(m.loss_rate(rev, Dir::North), 250);
         // Unrelated link is clean.
         assert!(!m.traversal_lost(0, shape.index(Coord::new(0, 0)), Dir::East, 1));
+    }
+
+    #[test]
+    fn node_clear_sees_both_link_endpoints_and_dead_neighbours() {
+        let shape = MeshShape::square(4);
+        let clear = |m: &FaultMask, r, c| m.node_clear(shape.index(Coord::new(r, c)));
+        let mut m = FaultMask::new(shape);
+        m.degrade_link(Coord::new(1, 1), Dir::East, 1000);
+        assert!(
+            (0..16).all(|i| m.node_clear(i)),
+            "lossy links keep nodes clear"
+        );
+        m.sever_link(Coord::new(1, 1), Dir::East);
+        assert!(!clear(&m, 1, 1) && !clear(&m, 1, 2));
+        assert!(clear(&m, 0, 1) && clear(&m, 2, 2));
+        m.kill_node(Coord::new(3, 3));
+        assert!(!clear(&m, 2, 3) && !clear(&m, 3, 2));
+        assert!(
+            clear(&m, 3, 3) && clear(&m, 2, 2),
+            "only neighbours lose it"
+        );
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! double-buffered slot arrays, handoff rings, staging and removal
 //! scratch, the delivered list — repeating the *same* workload must hit
 //! the allocator **zero** times at `threads = 1`: not per step, not per
-//! run, not in `drain_delivered`. That is the whole point of the flat
+//! run, not in `drain_delivered`, and not when a fault mask with dead
+//! nodes, a severed link and a lossy link makes packets detour and drop.
+//! That is the whole point of the flat
 //! struct-of-arrays layout; any regression (a stray `clone`, a
 //! `Vec::new` in the step loop, a drain that reallocates) fails here
 //! with an exact allocation count.
 //!
 //! Parallel runs are allowed a small *per-run* setup cost (the
 //! band-state parking slots and trace partitions are built per run
-//! because they borrow the engine), so the second test pins down the
+//! because they borrow the engine), so the parallel test pins down the
 //! sharper invariant: the allocation count of a warm parallel run is
 //! independent of how many steps the run executes. If the step loop
 //! itself allocated, a workload with more steps would allocate more.
@@ -25,8 +27,9 @@
 //! other test's allocations.
 
 use prasim_mesh::engine::{Engine, Packet};
+use prasim_mesh::fault::FaultMask;
 use prasim_mesh::region::Rect;
-use prasim_mesh::topology::{Coord, MeshShape};
+use prasim_mesh::topology::{Coord, Dir, MeshShape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -154,6 +157,56 @@ fn sequential_steady_state_allocates_nothing() {
         after - before,
         0,
         "warm sequential cycles ({steps} steps, {delivered} packets each) \
+         must not allocate"
+    );
+}
+
+/// [`cycle`] under a fault mask. `reset` drops the installed mask and
+/// `with_faults` consumes the engine, so the engine goes through by
+/// value and comes back with the stats.
+fn faulted_cycle(mut engine: Engine, mask: FaultMask, w: &[(Coord, Packet)]) -> (Engine, u64, u64) {
+    engine.reset();
+    let mut engine = engine.with_faults(mask);
+    for &(src, pkt) in w {
+        engine.inject(src, pkt);
+    }
+    let stats = engine.run(1_000_000).expect("workload must route");
+    let delivered = engine.drain_delivered().count() as u64;
+    assert_eq!(delivered + stats.dropped, w.len() as u64);
+    (engine, stats.steps, delivered)
+}
+
+#[test]
+fn faulted_steady_state_allocates_nothing() {
+    let _alone = serialize();
+    let shape = MeshShape::square(32);
+    let w = workload(shape, 4, shape.nodes());
+    let mut mask = FaultMask::new(shape).with_salt(5);
+    for (r, c) in [(5, 5), (5, 20), (20, 5), (20, 20)] {
+        mask.kill_node(Coord::new(r, c));
+    }
+    mask.sever_link(Coord::new(10, 10), Dir::East);
+    mask.degrade_link(Coord::new(15, 15), Dir::South, 300);
+    // Every cycle consumes a mask, so all four copies are built before
+    // the counting window.
+    let mut masks: Vec<FaultMask> = (0..4).map(|_| mask.clone()).collect();
+    let engine = Engine::new(shape).with_threads(1);
+
+    let (engine, _, delivered) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    assert!(delivered > 0 && delivered < w.len() as u64);
+    let (engine, _, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+
+    let before = allocations();
+    let (engine, steps_a, delivered) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    let (_, steps_b, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    let after = allocations();
+
+    let steps = steps_a + steps_b;
+    assert!(steps >= 100, "workload too easy: {steps} warm steps");
+    assert_eq!(
+        after - before,
+        0,
+        "warm faulted cycles ({steps} steps, {delivered} delivered each) \
          must not allocate"
     );
 }
