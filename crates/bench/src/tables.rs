@@ -1126,22 +1126,21 @@ pub fn t17_sorters(ns: &[u64], threads: usize) -> (Table, String) {
     for &n in ns {
         let shape = MeshShape::square_of(n).expect("square n");
         let mut rng = SplitMix64(0x50F7 ^ n);
-        let input: Vec<Vec<u64>> = (0..n).map(|_| vec![rng.next_u64()]).collect();
+        // One key per node, indexed by snake position.
+        let input: Vec<(u32, u64)> = (0..n as u32).map(|p| (p, rng.next_u64())).collect();
         let mut row = vec![n.to_string()];
         for (si, s) in sorters.iter().enumerate() {
-            let mut items = input.clone();
-            let cost = ExecCtx::new(threads, *s, false).sort(&mut items, shape.rows, shape.cols, 1);
+            let sorted = ExecCtx::new(threads, *s, false).sort_pairs(
+                input.iter().copied(),
+                shape.rows,
+                shape.cols,
+            );
             assert!(
-                items
-                    .iter()
-                    .flatten()
-                    .collect::<Vec<_>>()
-                    .windows(2)
-                    .all(|w| w[0] <= w[1]),
+                sorted.keys.is_sorted() && sorted.keys.len() == n as usize,
                 "{s} failed to sort n = {n}"
             );
-            steps[si].push(cost.steps);
-            row.push(cost.steps.to_string());
+            steps[si].push(sorted.cost.steps);
+            row.push(sorted.cost.steps.to_string());
         }
         let last = steps.iter().map(|v| *v.last().unwrap()).collect::<Vec<_>>();
         row.push(format!("{:.3}", last[1] as f64 / last[0] as f64));
@@ -1241,7 +1240,7 @@ pub fn t18_context_reuse(
     sorter: Sorter,
 ) -> (Table, String) {
     use prasim_mesh::engine::Packet;
-    use prasim_sortnet::snake::snake_index;
+    use prasim_sortnet::snake::{snake_index, snake_pos};
     use std::time::Instant;
 
     let shape = MeshShape::square_of(n).expect("square n");
@@ -1254,15 +1253,14 @@ pub fn t18_context_reuse(
     let run_step = |ctx: &mut ExecCtx| {
         let mut rng = SplitMix64(0xC0FFEE ^ n);
         let mut id = 0u64;
-        let mut items: Vec<Vec<(u32, u64)>> = vec![Vec::new(); shape.nodes() as usize];
+        let mut pairs: Vec<(u32, (u32, u64))> = Vec::with_capacity((n * packets_per_node) as usize);
         let mut pkts: Vec<(u32, Packet)> = Vec::with_capacity((n * packets_per_node) as usize);
         for node in 0..shape.nodes() as u32 {
-            let src = shape.coord(node);
-            let pos = snake_index(shape.cols, src.r, src.c) as usize;
+            let pos = snake_pos(shape, node);
             for _ in 0..packets_per_node {
                 let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
                 let key = snake_index(shape.cols, dest.r, dest.c);
-                items[pos].push((key, id));
+                pairs.push((pos, (key, id)));
                 pkts.push((
                     node,
                     Packet {
@@ -1275,12 +1273,7 @@ pub fn t18_context_reuse(
                 id += 1;
             }
         }
-        let sort_cost = ctx.sort(
-            &mut items,
-            shape.rows,
-            shape.cols,
-            packets_per_node as usize,
-        );
+        let sort_cost = ctx.sort_pairs(pairs, shape.rows, shape.cols).cost;
         let mut engine = ctx.engine(shape);
         for (node, pkt) in pkts {
             engine.inject(shape.coord(node), pkt);

@@ -33,7 +33,9 @@ impl Bibd {
     /// Builds the `(q^d, q)`-BIBD. `q` must be a prime power and
     /// `d ≥ 1`; the input count `f(d)` must fit in `u64`.
     pub fn new(q: u64, d: u32) -> Result<Self, BibdError> {
-        assert!(d >= 1, "BIBD requires d >= 1");
+        if d == 0 {
+            return Err(BibdError::ZeroDimension);
+        }
         let gf = Gf::new(q).map_err(BibdError::BadOrder)?;
         let num_outputs = q.checked_pow(d).ok_or(BibdError::Overflow { q, d })?;
         let num_inputs = input_count(q, d).ok_or(BibdError::Overflow { q, d })?;

@@ -104,6 +104,8 @@ pub fn min_degree_for_inputs(q: u64, m: u64) -> Option<u32> {
 pub enum BibdError {
     /// `q` is not a prime power supported by `prasim-gf`.
     BadOrder(prasim_gf::GfError),
+    /// The dimension `d` is 0 (a design needs `d ≥ 1`).
+    ZeroDimension,
     /// Requested parameters overflow `u64`.
     Overflow { q: u64, d: u32 },
     /// Subgraph requested more inputs than the full design has.
@@ -114,6 +116,7 @@ impl std::fmt::Display for BibdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BibdError::BadOrder(e) => write!(f, "invalid field order: {e}"),
+            BibdError::ZeroDimension => write!(f, "d = 0: a BIBD needs d ≥ 1"),
             BibdError::Overflow { q, d } => write!(f, "BIBD({q}^{d}) overflows u64"),
             BibdError::TooManyInputs {
                 requested,

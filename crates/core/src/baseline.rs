@@ -21,7 +21,7 @@ use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, MeshShape};
 use prasim_routing::problem::SplitMix64;
-use prasim_sortnet::snake::{snake_coord, snake_index};
+use prasim_sortnet::snake::{snake_coord, snake_pos};
 use prasim_sortnet::sorter::Sorter;
 use std::collections::HashMap;
 
@@ -62,40 +62,26 @@ fn route_packets(
     max_steps: u64,
     ctx: &mut ExecCtx,
 ) -> Result<(u64, u64, u64, usize), EngineError> {
-    let n = shape.nodes() as usize;
-    let h = pkts
-        .iter()
-        .fold(vec![0usize; n], |mut acc, &(s, _)| {
-            acc[s as usize] += 1;
-            acc
-        })
-        .into_iter()
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let mut items: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    for (i, &(s, d)) in pkts.iter().enumerate() {
-        let sc = shape.coord(s);
-        let pos = snake_index(shape.cols, sc.r, sc.c) as usize;
-        let dc = shape.coord(d);
-        items[pos].push((snake_index(shape.cols, dc.r, dc.c) as u64, i as u64));
-    }
-    let cost = ctx.sort(&mut items, shape.rows, shape.cols, h);
+    let sorted = ctx.sort_pairs(
+        pkts.iter()
+            .enumerate()
+            .map(|(i, &(s, d))| (snake_pos(shape, s), (snake_pos(shape, d), i as u64))),
+        shape.rows,
+        shape.cols,
+    );
     let mut engine = ctx.engine(shape);
     let bounds = Rect::full(shape);
-    for (pos, buf) in items.iter().enumerate() {
-        let (r, c) = snake_coord(shape.cols, pos as u32);
-        for &(_, idx) in buf {
-            engine.inject(
-                Coord { r, c },
-                Packet {
-                    id: idx,
-                    dest: shape.coord(pkts[idx as usize].1),
-                    bounds,
-                    tag: idx,
-                },
-            );
-        }
+    for (pos, &(_, idx)) in sorted.placed() {
+        let (r, c) = snake_coord(shape.cols, pos);
+        engine.inject(
+            Coord { r, c },
+            Packet {
+                id: idx,
+                dest: shape.coord(pkts[idx as usize].1),
+                bounds,
+                tag: idx,
+            },
+        );
     }
     let stats = engine.run(max_steps)?;
     let mut per_node: HashMap<u32, u64> = HashMap::new();
@@ -105,7 +91,7 @@ fn route_packets(
     }
     ctx.recycle(engine);
     let access = per_node.values().copied().max().unwrap_or(0);
-    Ok((cost.steps, stats.steps, access, stats.max_queue))
+    Ok((sorted.cost.steps, stats.steps, access, stats.max_queue))
 }
 
 // ---------------------------------------------------------------------

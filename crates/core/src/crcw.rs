@@ -12,7 +12,7 @@
 use crate::crew::{step_crew, CrewReport};
 use crate::pram::{Op, PramStep};
 use crate::sim::{PramMeshSim, SimError};
-use prasim_sortnet::snake::snake_index;
+use prasim_sortnet::snake::snake_pos;
 
 /// How concurrent writes to one variable combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,29 +74,27 @@ pub fn step_crcw(
     let shape = sim.hmos().shape();
 
     // ---- Combine writes: sort (var, proc, value), reduce segments. ----
-    let mut items: Vec<Vec<(u64, u32, u64)>> = vec![Vec::new(); n as usize];
-    let mut h = 1usize;
-    for (p, op) in step.ops.iter().enumerate() {
-        if let Some(Op::Write { var, value }) = op {
-            let c = shape.coord(p as u32);
-            let pos = snake_index(shape.cols, c.r, c.c) as usize;
-            items[pos].push((*var, p as u32, *value));
-            h = h.max(items[pos].len());
-        }
-    }
-    let sort_cost = sim.exec().sort(&mut items, shape.rows, shape.cols, h);
+    let sorted = sim.exec().sort_pairs(
+        step.ops.iter().enumerate().filter_map(|(p, op)| match op {
+            Some(Op::Write { var, value }) => {
+                Some((snake_pos(shape, p as u32), (*var, p as u32, *value)))
+            }
+            _ => None,
+        }),
+        shape.rows,
+        shape.cols,
+    );
     // Segmented reduce along the snake order; leader = first writer.
     let mut combined: std::collections::HashMap<u64, (u32, u64)> = std::collections::HashMap::new();
-    for buf in &items {
-        for &(var, p, value) in buf {
-            combined
-                .entry(var)
-                .and_modify(|e| e.1 = combine.fold(e.1, value))
-                .or_insert((p, value));
-        }
+    for &(var, p, value) in &sorted.keys {
+        combined
+            .entry(var)
+            .and_modify(|e| e.1 = combine.fold(e.1, value))
+            .or_insert((p, value));
     }
     // The reduction sweep costs one segmented scan (charged like rank).
-    let combine_steps = sort_cost.steps + 2 * h as u64 * (shape.rows as u64 + shape.cols as u64);
+    let combine_steps =
+        sorted.cost.steps + 2 * sorted.h as u64 * (shape.rows as u64 + shape.cols as u64);
 
     // ---- Build the CREW phase(s). ----
     let read_vars: std::collections::HashSet<u64> = step

@@ -23,7 +23,7 @@ use crate::sim::{PramMeshSim, SimError, StepReport};
 use prasim_mesh::engine::Packet;
 use prasim_mesh::region::Rect;
 use prasim_sortnet::broadcast::segmented_broadcast;
-use prasim_sortnet::snake::{snake_coord, snake_index};
+use prasim_sortnet::snake::{snake_coord, snake_pos};
 
 /// Measurements of one CREW step.
 #[derive(Debug, Clone)]
@@ -78,23 +78,18 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
     let full = Rect::full(shape);
 
     // ---- Phase 1: combine (sort read requests by variable). ----
-    let mut items: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n as usize];
-    let mut h = 1usize;
-    for (p, op) in step.ops.iter().enumerate() {
-        if let Some(Op::Read { var }) = op {
-            let c = shape.coord(p as u32);
-            let pos = snake_index(shape.cols, c.r, c.c) as usize;
-            items[pos].push((*var, p as u32));
-            h = h.max(items[pos].len());
-        }
-    }
-    let sort1 = sim.exec().sort(&mut items, shape.rows, shape.cols, h);
+    let sort1 = sim.exec().sort_pairs(
+        step.ops.iter().enumerate().filter_map(|(p, op)| match op {
+            Some(Op::Read { var }) => Some((snake_pos(shape, p as u32), (*var, p as u32))),
+            _ => None,
+        }),
+        shape.rows,
+        shape.cols,
+    );
     // Representatives: first requester of each contiguous segment.
     let mut representative: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-    for buf in &items {
-        for &(var, p) in buf {
-            representative.entry(var).or_insert(p);
-        }
+    for &(var, p) in &sort1.keys {
+        representative.entry(var).or_insert(p);
     }
 
     // ---- Phase 2: the EREW step. ----
@@ -128,14 +123,13 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
         value: u64, // meaningful when carrying
         carrying: bool,
     }
-    let mut items2: Vec<Vec<FanItem>> = vec![Vec::new(); n as usize];
-    let mut h2 = 1usize;
-    for (p, op) in step.ops.iter().enumerate() {
-        if let Some(Op::Read { var }) = op {
-            let c = shape.coord(p as u32);
-            let pos = snake_index(shape.cols, c.r, c.c) as usize;
+    let mut sort2 = sim.exec().sort_pairs(
+        step.ops.iter().enumerate().filter_map(|(p, op)| {
+            let Some(Op::Read { var }) = op else {
+                return None;
+            };
             let is_rep = representative[var] == p as u32;
-            items2[pos].push(FanItem {
+            let item = FanItem {
                 var: *var,
                 is_rep: !is_rep, // false sorts first: rep leads its segment
                 proc: p as u32,
@@ -145,15 +139,14 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
                     0
                 },
                 carrying: is_rep,
-            });
-            h2 = h2.max(items2[pos].len());
-        }
-    }
-    let sort2 = sim.exec().sort(&mut items2, shape.rows, shape.cols, h2);
-    let bcast = segmented_broadcast(
-        &mut items2,
+            };
+            Some((snake_pos(shape, p as u32), item))
+        }),
         shape.rows,
         shape.cols,
+    );
+    let bcast = segmented_broadcast(
+        &mut sort2,
         |it| it.var,
         |it| if it.carrying { Some(it.value) } else { None },
         |it, v| {
@@ -170,22 +163,20 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
     let mut engine = sim.exec().engine(shape);
     let mut results: Vec<Option<u64>> = vec![None; step.ops.len()];
     let mut payloads: Vec<(u32, u64)> = Vec::new();
-    for (pos, buf) in items2.iter().enumerate() {
-        let (r, c) = snake_coord(shape.cols, pos as u32);
-        for it in buf {
-            debug_assert!(it.carrying, "request left without a value");
-            let id = payloads.len() as u64;
-            payloads.push((it.proc, it.value));
-            engine.inject(
-                prasim_mesh::topology::Coord { r, c },
-                Packet {
-                    id,
-                    dest: shape.coord(it.proc),
-                    bounds: full,
-                    tag: id,
-                },
-            );
-        }
+    for (pos, it) in sort2.placed() {
+        let (r, c) = snake_coord(shape.cols, pos);
+        debug_assert!(it.carrying, "request left without a value");
+        let id = payloads.len() as u64;
+        payloads.push((it.proc, it.value));
+        engine.inject(
+            prasim_mesh::topology::Coord { r, c },
+            Packet {
+                id,
+                dest: shape.coord(it.proc),
+                bounds: full,
+                tag: id,
+            },
+        );
     }
     let stats = engine
         .run(sim.config().max_engine_steps)
@@ -203,8 +194,8 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
         }
     }
 
-    let combine_steps = sort1.steps;
-    let fanout_steps = sort2.steps + bcast.steps + stats.steps;
+    let combine_steps = sort1.cost.steps;
+    let fanout_steps = sort2.cost.steps + bcast.steps + stats.steps;
     Ok(CrewReport {
         combine_steps,
         total_steps: combine_steps + erew_report.total_steps + fanout_steps,

@@ -20,7 +20,7 @@ use prasim_hmos::{CopyAddr, Hmos, TargetSpec};
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::problem::SplitMix64;
 use prasim_sortnet::rank::rank_sorted;
-use prasim_sortnet::snake::snake_index;
+use prasim_sortnet::snake::snake_pos;
 
 /// A culled copy with its resolved physical address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,23 +186,19 @@ pub fn cull_with(
         // --- Parallel sort of all selected copies by level-i page. ---
         // Key: (page instance, processor, leaf); processor p holds the
         // keys for its variable's current selection.
-        let mut items: Vec<Vec<(u32, u32, u16)>> = vec![Vec::new(); n as usize];
-        let mut h = 1usize;
-        for (p, leaves) in current.iter().enumerate() {
-            if leaves.is_empty() {
-                continue;
-            }
-            let c = shape.coord(p as u32);
-            let pos = snake_index(shape.cols, c.r, c.c) as usize;
-            for &leaf in leaves {
-                let page = resolved[p][leaf as usize].2[i as usize - 1];
-                items[pos].push((page, p as u32, leaf as u16));
-            }
-            h = h.max(items[pos].len());
-        }
-        let sort_cost = ctx.sort(&mut items, shape.rows, shape.cols, h);
-        let (ranks, _counts, rank_cost) =
-            rank_sorted(&items, shape.rows, shape.cols, |&(page, _, _)| page);
+        let sorted = ctx.sort_pairs(
+            current.iter().enumerate().flat_map(|(p, leaves)| {
+                let pos = snake_pos(shape, p as u32);
+                let res = &resolved[p];
+                leaves.iter().map(move |&leaf| {
+                    let page = res[leaf as usize].2[i as usize - 1];
+                    (pos, (page, p as u32, leaf as u16))
+                })
+            }),
+            shape.rows,
+            shape.cols,
+        );
+        let (ranks, rank_cost) = rank_sorted(&sorted, |&(page, _, _)| page);
 
         // --- Marking: the first `mark_bound` copies of each page. ---
         let mut marked: Vec<Vec<bool>> = requests
@@ -215,11 +211,9 @@ pub fn cull_with(
                 }
             })
             .collect();
-        for (buf, rbuf) in items.iter().zip(&ranks) {
-            for (&(_page, p, leaf), &rank) in buf.iter().zip(rbuf) {
-                if rank < mark_bound {
-                    marked[p as usize][leaf as usize] = true;
-                }
+        for (&(_page, p, leaf), &rank) in sorted.keys.iter().zip(&ranks) {
+            if rank < mark_bound {
+                marked[p as usize][leaf as usize] = true;
             }
         }
 
@@ -261,7 +255,7 @@ pub fn cull_with(
         let max_page_load = loads.values().copied().max().unwrap_or(0);
 
         let ledger = ctx.ledger_mut();
-        let sort_steps = ledger.charge(&sort_cost) + ledger.charge(&rank_cost) + qk; // + O(q^k) local
+        let sort_steps = ledger.charge(&sorted.cost) + ledger.charge(&rank_cost) + qk; // + O(q^k) local
         report.total_steps += sort_steps;
         report.iterations.push(CullIteration {
             level: i,

@@ -158,8 +158,8 @@ struct Pkt {
 /// `memory[node]` maps slots to cells. `ops[p]` / `selected[p]` give
 /// processor `p`'s operation and selected copy set; `run` carries the
 /// clock, budgets, read policy, and fault scenario; `ctx` provides the
-/// pooled engines, the stage sorter, the scratch arena, and the cost
-/// ledger the sort charges flow through.
+/// pooled engines, the stage sorter, and the cost ledger the sort
+/// charges flow through.
 pub fn access_protocol(
     hmos: &Hmos,
     memory: &mut [HashMap<u64, Cell>],
@@ -195,12 +195,6 @@ pub fn access_protocol(
 
     let mut report = ProtocolReport::default();
 
-    // Scratch arena for the per-group snake-indexed buffers: borrowed
-    // from the context (where it survives across steps), grown to the
-    // largest submesh once, then reused across groups and stages so the
-    // per-stage Vec<Vec<…>> churn disappears from the hot loop.
-    let mut arena = ctx.take_arena();
-
     // Stages k+1 down to 2: spread into the destination level-(i-1) pages.
     for stage in (2..=k + 1).rev() {
         // Group packets by their containing level-`stage` submesh.
@@ -232,55 +226,46 @@ pub fn access_protocol(
             } else {
                 hmos.pages(stage)[gk as usize].rect
             };
-            // Local snake-indexed buffers of (dest child page, pkt id),
-            // carved out of the reusable arena.
-            let area = rect.area() as usize;
-            if arena.len() < area {
-                arena.resize_with(area, Vec::new);
-            }
-            let items = &mut arena[..area];
-            for buf in items.iter_mut() {
-                buf.clear();
-            }
-            let mut h = 1usize;
-            for &id in &groups[&gk] {
-                let pkt = &pkts[id];
-                let c = shape.coord(pkt.cur);
-                debug_assert!(rect.contains(c), "packet escaped its submesh");
-                let pos = snake_index(rect.cols, c.r - rect.r0, c.c - rect.c0) as usize;
-                let child = copy_of(pkt).instances[stage as usize - 2];
-                items[pos].push((child, id as u32));
-                h = h.max(items[pos].len());
-            }
-            let mut cost = ctx.sort(items, rect.rows, rect.cols, h);
-            let (ranks, _counts, rank_cost) =
-                rank_sorted(items, rect.rows, rect.cols, |&(child, _)| child);
+            // Sort (dest child page, pkt id) by the packets' positions in
+            // the group's submesh, then rank within child pages.
+            let sorted = ctx.sort_pairs(
+                groups[&gk].iter().map(|&id| {
+                    let pkt = &pkts[id];
+                    let c = shape.coord(pkt.cur);
+                    debug_assert!(rect.contains(c), "packet escaped its submesh");
+                    let pos = snake_index(rect.cols, c.r - rect.r0, c.c - rect.c0);
+                    let child = copy_of(pkt).instances[stage as usize - 2];
+                    (pos, (child, id as u32))
+                }),
+                rect.rows,
+                rect.cols,
+            );
+            let (ranks, rank_cost) = rank_sorted(&sorted, |&(child, _)| child);
+            let mut cost = sorted.cost;
             cost.add(rank_cost);
             if ctx.ledger().value(&cost) > ctx.ledger().value(&max_sort) {
                 max_sort = cost;
             }
             // Post-sort positions + spread destinations; inject.
-            for (pos, (buf, rbuf)) in items.iter().zip(&ranks).enumerate() {
-                let (lr, lc) = snake_coord(rect.cols, pos as u32);
+            for ((pos, &(child, id)), &rank) in sorted.placed().zip(&ranks) {
+                let (lr, lc) = snake_coord(rect.cols, pos);
                 let at = Coord {
                     r: rect.r0 + lr,
                     c: rect.c0 + lc,
                 };
-                for (&(child, id), &rank) in buf.iter().zip(rbuf) {
-                    let child_rect = hmos.pages(stage - 1)[child as usize].rect;
-                    let dest = child_rect.coord_at((rank % child_rect.area()) as u32);
-                    pkts[id as usize].cur = shape.index(at);
-                    in_stage[id as usize] = true;
-                    engine.inject(
-                        at,
-                        Packet {
-                            id: id as u64,
-                            dest,
-                            bounds: rect,
-                            tag: id as u64,
-                        },
-                    );
-                }
+                let child_rect = hmos.pages(stage - 1)[child as usize].rect;
+                let dest = child_rect.coord_at((rank % child_rect.area()) as u32);
+                pkts[id as usize].cur = shape.index(at);
+                in_stage[id as usize] = true;
+                engine.inject(
+                    at,
+                    Packet {
+                        id: id as u64,
+                        dest,
+                        bounds: rect,
+                        tag: id as u64,
+                    },
+                );
             }
         }
         let stats = engine.run(run.max_engine_steps)?;
@@ -310,9 +295,6 @@ pub fn access_protocol(
         });
         report.total_steps += sort_steps + stats.steps;
     }
-
-    // The slab is done growing: hand it back for the next step.
-    ctx.store_arena(arena);
 
     // Stage 1: deliver to the copy-holding processors.
     {

@@ -19,11 +19,15 @@
 //!   byte-identical for every thread count);
 //! - an [`EnginePool`] keyed by submesh shape, so repeated stages reuse
 //!   engines and their per-node queue buffers;
-//! - the columnsort [`RouteMemo`] and the protocol's scratch arena,
-//!   moved off globals so concurrent simulations neither contend nor
-//!   cross-pollinate;
+//! - the columnsort [`RouteMemo`], moved off globals so concurrent
+//!   simulations neither contend nor cross-pollinate;
 //! - a [`CostLedger`] that decides analytic-vs-measured charging in one
 //!   place (the only caller of [`SortCost::charged`]).
+//!
+//! Every sort goes through [`ExecCtx::sort_pairs`]: the caller hands
+//! over `(snake position, key)` pairs for a submesh and gets a
+//! [`Sorted`] back (keys in order, the `h` the sorter derived, the
+//! cost). No caller builds per-node buffers or works out `h` itself.
 //!
 //! The context is the only way to configure a run: there is no
 //! process-wide thread count, sorter or context mode, and no library
@@ -41,8 +45,9 @@ use prasim_mesh::engine::Engine;
 use prasim_mesh::pool::{EnginePool, WorkerPool};
 use prasim_mesh::topology::MeshShape;
 use prasim_sortnet::columnsort::RouteMemo;
+use prasim_sortnet::key::Key;
 use prasim_sortnet::shearsort::SortCost;
-use prasim_sortnet::sorter::Sorter;
+use prasim_sortnet::sorter::{Sorted, Sorter};
 
 /// The single place analytic-vs-measured cost charging is decided.
 ///
@@ -101,7 +106,7 @@ impl CostLedger {
 }
 
 /// The per-simulation execution context: worker pool, engine pool,
-/// sorter resources, cost ledger and scratch arena, owned together and
+/// sorter resources and cost ledger, owned together and
 /// borrowed (`&mut ExecCtx`) by every execution layer instead of
 /// drilling individual knobs.
 #[derive(Debug)]
@@ -112,9 +117,6 @@ pub struct ExecCtx {
     engines: EnginePool,
     ledger: CostLedger,
     memo: RouteMemo,
-    /// Reusable `(key, value)`-pair buffers for the protocol's
-    /// gather/scatter staging.
-    arena: Vec<Vec<(u32, u32)>>,
 }
 
 impl Default for ExecCtx {
@@ -140,7 +142,6 @@ impl ExecCtx {
             engines,
             ledger: CostLedger::new(analytic),
             memo: RouteMemo::new(),
-            arena: Vec::new(),
         }
     }
 
@@ -192,10 +193,26 @@ impl ExecCtx {
         self.engines.recycle(engine);
     }
 
-    /// Sorts with the context's sorter and execution resources (the
-    /// [`Sorter::sort_with`] contract: snake-indexed buffers, `h` keys
-    /// per node). The cost is *returned*, not charged — stages decide
-    /// what to charge through [`ExecCtx::ledger_mut`].
+    /// Sorts `(snake position, key)` pairs on a `rows × cols` submesh
+    /// with the context's sorter and execution resources (the
+    /// [`Sorter::sort_pairs`] contract: `h = max(1, most keys on one
+    /// node)`, sorted key `j` on snake position `j / h`). The cost is
+    /// *returned*, not charged — stages decide what to charge through
+    /// [`ExecCtx::ledger_mut`].
+    pub fn sort_pairs<T: Ord + Copy>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (u32, T)>,
+        rows: u32,
+        cols: u32,
+    ) -> Sorted<T> {
+        self.sorter
+            .sort_pairs(pairs, rows, cols, &mut self.engines, &mut self.memo)
+    }
+
+    // Per-node buffers padded to an explicit `h` and run through the
+    // kernel dispatch; kept only for the sort probe in
+    // stepbench/src/main.rs, its one caller.
+    #[doc(hidden)]
     pub fn sort<T: Ord + Copy>(
         &mut self,
         items: &mut [Vec<T>],
@@ -203,26 +220,21 @@ impl ExecCtx {
         cols: u32,
         h: usize,
     ) -> SortCost {
-        self.sorter
-            .sort_with(items, rows, cols, h, &mut self.engines, &mut self.memo)
-    }
-
-    /// Takes the scratch pair-buffer slab out of the context (the
-    /// protocol's gather/scatter staging area). Every inner buffer is
-    /// empty; capacities are retained from earlier uses. Return the
-    /// slab with [`ExecCtx::store_arena`] so the next stage reuses the
-    /// allocations instead of growing a fresh slab.
-    pub fn take_arena(&mut self) -> Vec<Vec<(u32, u32)>> {
-        std::mem::take(&mut self.arena)
-    }
-
-    /// Returns the scratch slab to the context, clearing the buffers
-    /// (but not their capacity) for the next taker.
-    pub fn store_arena(&mut self, mut slab: Vec<Vec<(u32, u32)>>) {
-        for buf in &mut slab {
-            buf.clear();
+        let mut buf = Vec::with_capacity(items.len() * h);
+        for v in items.iter_mut() {
+            let pad = h
+                .checked_sub(v.len())
+                .expect("a node holds more than h keys");
+            buf.extend(v.drain(..).map(Key::Val));
+            buf.extend(std::iter::repeat_n(Key::PosInf, pad));
         }
-        self.arena = slab;
+        let cost =
+            self.sorter
+                .sort_with(&mut buf, rows, cols, h, &mut self.engines, &mut self.memo);
+        for (v, node) in items.iter_mut().zip(buf.chunks(h)) {
+            v.extend(node.iter().filter_map(|k| k.val()));
+        }
+        cost
     }
 
     // Kept only for stepbench/src/traced.rs, its one caller.
@@ -269,27 +281,27 @@ mod tests {
     #[test]
     fn sort_uses_context_resources() {
         let mut ctx = ExecCtx::new(1, Sorter::Columnsort, false);
-        let mut items: Vec<Vec<u64>> = (0..256u64).rev().map(|x| vec![x]).collect();
-        let c1 = ctx.sort(&mut items, 16, 16, 1);
-        let flat: Vec<u64> = items.iter().flatten().copied().collect();
-        assert!(flat.windows(2).all(|w| w[0] <= w[1]));
+        let pairs = || (0..256u32).map(|p| (p, 255 - p as u64));
+        let s1 = ctx.sort_pairs(pairs(), 16, 16);
+        assert_eq!(s1.keys, (0..256u64).collect::<Vec<_>>());
         assert!(!ctx.route_memo().is_empty(), "columnsort fills the memo");
-        let mut again: Vec<Vec<u64>> = (0..256u64).rev().map(|x| vec![x]).collect();
-        let c2 = ctx.sort(&mut again, 16, 16, 1);
-        assert_eq!(c1, c2, "memoized repeat sorts charge identically");
+        let s2 = ctx.sort_pairs(pairs(), 16, 16);
+        assert_eq!(s1.cost, s2.cost, "memoized repeat sorts charge identically");
     }
 
     #[test]
-    fn scratch_arena_round_trips() {
-        let mut ctx = ExecCtx::default();
-        let mut slab = ctx.take_arena();
-        slab.resize_with(4, Vec::new);
-        slab[2].extend([(1, 2), (3, 4)]);
-        let cap = slab[2].capacity();
-        ctx.store_arena(slab);
-        let slab2 = ctx.take_arena();
-        assert_eq!(slab2.len(), 4);
-        assert!(slab2.iter().all(Vec::is_empty));
-        assert_eq!(slab2[2].capacity(), cap, "capacity survives the arena");
+    fn nested_adapter_matches_pair_entry() {
+        let mut ctx = ExecCtx::new(1, Sorter::Columnsort, false);
+        let mut items: Vec<Vec<u64>> = (0..64u64).map(|x| vec![(x * 37) % 64, x / 3]).collect();
+        let pairs: Vec<(u32, u64)> = items
+            .iter()
+            .enumerate()
+            .flat_map(|(p, v)| v.iter().map(move |&k| (p as u32, k)))
+            .collect();
+        let sorted = ctx.sort_pairs(pairs, 8, 8);
+        let cost = ctx.sort(&mut items, 8, 8, 2);
+        assert_eq!(cost, sorted.cost);
+        assert_eq!(items.concat(), sorted.keys);
+        assert!(items.iter().all(|v| v.len() == 2), "balanced h per node");
     }
 }

@@ -24,6 +24,8 @@ pub enum HmosError {
     BadQ(u64),
     /// `k` must be at least 1.
     BadK(u32),
+    /// `d` must be at least 1.
+    BadD(u32),
     /// `n` must be a perfect square (square mesh).
     NotSquare(u64),
     /// The requested memory size overflows the construction.
@@ -45,6 +47,7 @@ impl std::fmt::Display for HmosError {
         match self {
             HmosError::BadQ(q) => write!(f, "q = {q} must be a prime power ≥ 3"),
             HmosError::BadK(k) => write!(f, "k = {k} must be ≥ 1"),
+            HmosError::BadD(d) => write!(f, "d = {d} must be ≥ 1"),
             HmosError::NotSquare(n) => write!(f, "mesh size {n} is not a perfect square"),
             HmosError::MemoryTooLarge(m) => write!(f, "memory size {m} overflows the construction"),
             HmosError::LevelTooCrowded {
@@ -61,6 +64,14 @@ impl std::fmt::Display for HmosError {
 }
 
 impl std::error::Error for HmosError {}
+
+/// Checks the redundancy base: a prime power ≥ 3.
+fn check_q(q: u64) -> Result<(), HmosError> {
+    match prime_power(q) {
+        Some(_) if q >= 3 => Ok(()),
+        _ => Err(HmosError::BadQ(q)),
+    }
+}
 
 /// Derived HMOS parameters. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +93,8 @@ pub struct HmosParams {
 impl HmosParams {
     /// Derives parameters for a memory of at least `mem_request` cells.
     pub fn new(q: u64, k: u32, n: u64, mem_request: u64) -> Result<Self, HmosError> {
+        // `q` first: the degree search below divides by `q - 1`.
+        check_q(q)?;
         let d1 = prasim_bibd::min_degree_for_inputs(q, mem_request.max(1))
             .ok_or(HmosError::MemoryTooLarge(mem_request))?;
         Self::with_d(q, k, n, d1)
@@ -89,12 +102,12 @@ impl HmosParams {
 
     /// Derives parameters for an explicit `d_1 = d` (memory `f(d)`).
     pub fn with_d(q: u64, k: u32, n: u64, d1: u32) -> Result<Self, HmosError> {
-        match prime_power(q) {
-            Some(_) if q >= 3 => {}
-            _ => return Err(HmosError::BadQ(q)),
-        }
+        check_q(q)?;
         if k < 1 {
             return Err(HmosError::BadK(k));
+        }
+        if d1 < 1 {
+            return Err(HmosError::BadD(d1));
         }
         let side = (n as f64).sqrt().round() as u64;
         if side * side != n || n == 0 {

@@ -12,7 +12,7 @@ use prasim_exec::ExecCtx;
 use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::Coord;
-use prasim_sortnet::snake::{snake_coord, snake_index};
+use prasim_sortnet::snake::{snake_coord, snake_pos};
 
 /// Routes an `(l1, l2)` instance by sorting by destination and then
 /// greedy-routing from the balanced post-sort positions. The sort runs
@@ -24,42 +24,34 @@ pub fn route_flat(
     ctx: &mut ExecCtx,
 ) -> Result<RoutingOutcome, EngineError> {
     let shape = inst.shape;
-    let n = shape.nodes() as usize;
-    let h = (inst.pairs.len().div_ceil(n.max(1)))
-        .max(inst.l1() as usize)
-        .max(1);
 
-    // Snake-indexed per-node buffers of (dest snake key, packet index).
-    let mut items: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    for (i, &(s, d)) in inst.pairs.iter().enumerate() {
-        let sc = shape.coord(s);
-        let pos = snake_index(shape.cols, sc.r, sc.c) as usize;
-        let dc = shape.coord(d);
-        let key = snake_index(shape.cols, dc.r, dc.c) as u64;
-        items[pos].push((key, i as u64));
-    }
-
+    // (dest snake key, packet index) at each packet's source.
     let mut out = RoutingOutcome::default();
-    let cost = ctx.sort(&mut items, shape.rows, shape.cols, h);
-    out.add_sort(cost.steps);
+    let sorted = ctx.sort_pairs(
+        inst.pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d))| (snake_pos(shape, s), (snake_pos(shape, d), i as u64))),
+        shape.rows,
+        shape.cols,
+    );
+    out.add_sort(sorted.cost.steps);
 
     // Greedy route from post-sort positions.
     let mut engine = ctx.engine(shape);
     engine.reserve(inst.pairs.len());
     let bounds = Rect::full(shape);
-    for (pos, buf) in items.iter().enumerate() {
-        let (r, c) = snake_coord(shape.cols, pos as u32);
-        for &(_, idx) in buf {
-            engine.inject(
-                Coord { r, c },
-                Packet {
-                    id: idx,
-                    dest: shape.coord(inst.pairs[idx as usize].1),
-                    bounds,
-                    tag: idx,
-                },
-            );
-        }
+    for (pos, &(_, idx)) in sorted.placed() {
+        let (r, c) = snake_coord(shape.cols, pos);
+        engine.inject(
+            Coord { r, c },
+            Packet {
+                id: idx,
+                dest: shape.coord(inst.pairs[idx as usize].1),
+                bounds,
+                tag: idx,
+            },
+        );
     }
     let stats = engine.run(max_steps)?;
     out.add_route(stats);

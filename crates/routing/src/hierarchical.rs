@@ -18,8 +18,7 @@ use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::{Rect, Tessellation};
 use prasim_mesh::topology::Coord;
 use prasim_sortnet::rank::rank_sorted;
-use prasim_sortnet::shearsort::SortCost;
-use prasim_sortnet::snake::{snake_coord, snake_index};
+use prasim_sortnet::snake::{snake_coord, snake_index, snake_pos};
 
 /// Errors from hierarchical routing.
 #[derive(Debug)]
@@ -66,105 +65,89 @@ pub fn route_hierarchical(
     let tess =
         Tessellation::new(Rect::full(shape), parts).ok_or(HierError::BadTessellation { parts })?;
     let owner = node_parts(shape, &tess);
-    let n = shape.nodes() as usize;
     let mut out = RoutingOutcome::default();
 
     // ---- Step 2: sort by destination submesh (key: part, then dest). --
-    let h = (inst.pairs.len().div_ceil(n.max(1)))
-        .max(inst.l1() as usize)
-        .max(1);
-    let mut items: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    for (i, &(s, d)) in inst.pairs.iter().enumerate() {
-        let sc = shape.coord(s);
-        let pos = snake_index(shape.cols, sc.r, sc.c) as usize;
-        let key = owner[d as usize] as u64 * shape.nodes() + d as u64;
-        items[pos].push((key, i as u64));
-    }
-    let cost = ctx.sort(&mut items, shape.rows, shape.cols, h);
-    out.add_sort(cost.steps);
+    let sorted = ctx.sort_pairs(
+        inst.pairs.iter().enumerate().map(|(i, &(s, d))| {
+            let key = owner[d as usize] as u64 * shape.nodes() + d as u64;
+            (snake_pos(shape, s), (key, i as u64))
+        }),
+        shape.rows,
+        shape.cols,
+    );
+    out.add_sort(sorted.cost.steps);
 
     // Rank within destination-submesh groups.
-    let (ranks, _counts, rank_cost) = rank_sorted(&items, shape.rows, shape.cols, |&(key, _)| {
-        key / shape.nodes()
-    });
+    let (ranks, rank_cost) = rank_sorted(&sorted, |&(key, _)| key / shape.nodes());
     out.add_sort(rank_cost.steps);
 
     // ---- Step 3: spread into destination submeshes (rank i -> slot i mod m).
     let mut engine = ctx.engine(shape);
     engine.reserve(inst.pairs.len());
     let full = Rect::full(shape);
-    for (pos, (buf, rbuf)) in items.iter().zip(&ranks).enumerate() {
-        let (r, c) = snake_coord(shape.cols, pos as u32);
-        for (&(key, idx), &rank) in buf.iter().zip(rbuf) {
-            let part = (key / shape.nodes()) as usize;
-            let rect = tess.parts[part];
-            let slot = (rank % rect.area()) as u32;
-            engine.inject(
-                Coord { r, c },
-                Packet {
-                    id: idx,
-                    dest: rect.coord_at(slot),
-                    bounds: full,
-                    tag: idx,
-                },
-            );
-        }
+    for ((pos, &(key, idx)), &rank) in sorted.placed().zip(&ranks) {
+        let (r, c) = snake_coord(shape.cols, pos);
+        let part = (key / shape.nodes()) as usize;
+        let rect = tess.parts[part];
+        let slot = (rank % rect.area()) as u32;
+        engine.inject(
+            Coord { r, c },
+            Packet {
+                id: idx,
+                dest: rect.coord_at(slot),
+                bounds: full,
+                tag: idx,
+            },
+        );
     }
     let stats = engine.run(max_steps)?;
     out.add_route(stats);
 
     // ---- Step 4: local sort + route inside each submesh, in parallel. --
-    // Gather per-part buffers (local snake indexing within each part),
-    // draining landed packets straight out of the engine arena.
-    let mut part_items: Vec<Vec<Vec<(u64, u64)>>> = tess
-        .parts
-        .iter()
-        .map(|p| vec![Vec::new(); p.area() as usize])
-        .collect();
+    // Gather per-part (local snake position, (final dest key, packet))
+    // pairs, draining landed packets straight out of the engine arena.
+    let mut part_pairs: Vec<Vec<(u32, (u64, u64))>> = vec![Vec::new(); tess.parts.len()];
     for (node, pkt) in engine.drain_delivered() {
         let coord = shape.coord(node);
         let part = owner[node as usize] as usize;
         let rect = tess.parts[part];
         let local = rect.local_index(coord);
-        let lpos = snake_index(rect.cols, local / rect.cols, local % rect.cols) as usize;
+        let lpos = snake_index(rect.cols, local / rect.cols, local % rect.cols);
         let final_dest = inst.pairs[pkt.tag as usize].1;
         let dc = shape.coord(final_dest);
         let key = snake_index(rect.cols, dc.r - rect.r0, dc.c - rect.c0) as u64;
-        part_items[part][lpos].push((key, pkt.tag));
+        part_pairs[part].push((lpos, (key, pkt.tag)));
     }
     ctx.recycle(engine);
     // Local sorts run in parallel across submeshes: charge the maximum.
-    let mut max_local_sort = SortCost::default();
-    for (part, rect) in tess.parts.iter().enumerate() {
-        let buf = &mut part_items[part];
-        let hh = buf.iter().map(|v| v.len()).max().unwrap_or(0).max(1);
-        let c = ctx.sort(buf, rect.rows, rect.cols, hh);
-        if c.steps > max_local_sort.steps {
-            max_local_sort = c;
-        }
-    }
-    out.add_sort(max_local_sort.steps);
+    let part_sorted: Vec<_> = tess
+        .parts
+        .iter()
+        .zip(part_pairs)
+        .map(|(rect, pairs)| ctx.sort_pairs(pairs, rect.rows, rect.cols))
+        .collect();
+    let max_local_sort = part_sorted.iter().map(|s| s.cost.steps).max().unwrap_or(0);
+    out.add_sort(max_local_sort);
 
     // Final local routes, all parts simultaneously in one engine run.
     let mut engine = ctx.engine(shape);
-    for (part, rect) in tess.parts.iter().enumerate() {
-        for (lpos, buf) in part_items[part].iter().enumerate() {
-            let (lr, lc) = snake_coord(rect.cols, lpos as u32);
+    for (rect, sorted) in tess.parts.iter().zip(&part_sorted) {
+        for (lpos, &(_, idx)) in sorted.placed() {
+            let (lr, lc) = snake_coord(rect.cols, lpos);
             let at = Coord {
                 r: rect.r0 + lr,
                 c: rect.c0 + lc,
             };
-            for &(_, idx) in buf {
-                engine.inject(
-                    at,
-                    Packet {
-                        id: idx,
-                        dest: shape.coord(inst.pairs[idx as usize].1),
-                        bounds: *rect,
-                        tag: idx,
-                    },
-                );
-            }
+            engine.inject(
+                at,
+                Packet {
+                    id: idx,
+                    dest: shape.coord(inst.pairs[idx as usize].1),
+                    bounds: *rect,
+                    tag: idx,
+                },
+            );
         }
     }
     let stats = engine.run(max_steps)?;

@@ -108,9 +108,8 @@ fn context_thread_count_does_not_change_results() {
 fn columnsort_route_engines_use_context_threads() {
     // Columnsort measures its fixed permutation routes on engines from
     // the context's pool; they must shard across the context's workers.
-    let mut items: Vec<Vec<u64>> = (0..64u64).rev().map(|x| vec![x]).collect();
     let mut ctx = ExecCtx::new(3, Sorter::Columnsort, false);
-    ctx.sort(&mut items, 8, 8, 1);
+    ctx.sort_pairs((0..64u32).map(|p| (p, 63 - p)), 8, 8);
     assert_eq!(
         ctx.worker_pool().spawned(),
         3,
@@ -120,14 +119,13 @@ fn columnsort_route_engines_use_context_threads() {
 
 #[test]
 fn columnsort_costs_do_not_depend_on_context_threads() {
-    let input: Vec<Vec<u64>> = (0..64u64).map(|x| vec![(x * 37) % 64, x / 3]).collect();
-    let mut base = input.clone();
-    let want = ExecCtx::new(1, Sorter::Columnsort, false).sort(&mut base, 8, 8, 2);
+    let input: Vec<(u32, u64)> = (0..64u32)
+        .flat_map(|p| [(p, (p as u64 * 37) % 64), (p, p as u64 / 3)])
+        .collect();
+    let want = ExecCtx::new(1, Sorter::Columnsort, false).sort_pairs(input.clone(), 8, 8);
     for threads in [2usize, 3] {
-        let mut items = input.clone();
         let mut ctx = ExecCtx::new(threads, Sorter::Columnsort, false);
-        let cost = ctx.sort(&mut items, 8, 8, 2);
-        assert_eq!(cost, want, "threads = {threads}");
-        assert_eq!(items, base, "threads = {threads}");
+        let got = ctx.sort_pairs(input.clone(), 8, 8);
+        assert_eq!(got, want, "threads = {threads}");
     }
 }

@@ -12,31 +12,39 @@
 //! carry exact step-cost accounting plus an analytic mode charging the
 //! paper's bound; DESIGN.md §4 discusses the substitution.
 //!
+//! Callers see one contract: hand over `(snake position, key)` pairs on
+//! a `rows × cols` submesh and get back a [`Sorted`] — the keys in
+//! sorted order, the `h = max(1, most keys on one node)` the sorter read
+//! off the input, and the [`SortCost`]. Sorted key `j` sits on snake
+//! position `j / h`. Below that entry both kernels sort one padded,
+//! snake-ordered buffer of `h` slots per node in place.
+//!
 //! - [`snake`]: snake-order indexing of a rectangular region.
-//! - [`mod@sorter`]: the pluggable sorter dispatch (default:
-//!   columnsort).
-//! - [`mod@shearsort`]: merge-split shearsort of `l` keys per node, run
-//!   by the flat in-place kernel [`shearsort::shearsort_flat`].
-//! - [`key`]: the sentinel-extended key both sorters pad nodes with.
-//! - [`mod@columnsort`]: Leighton's columnsort — both the flat
-//!   reference and the step-simulated mesh realization
-//!   ([`columnsort::columnsort_mesh`]).
-//! - [`rank`]: segmented ranking / prefix operations over sorted keys.
-//! - [`broadcast`]: segmented broadcast (prefix copy) for request
-//!   combining.
-
+//! - [`mod@sorter`]: the pair contract ([`Sorter::sort_pairs`],
+//!   [`Sorted`]) and the kernel dispatch (default: columnsort).
+//! - [`mod@shearsort`]: the merge-split shearsort kernel
+//!   [`shearsort::shearsort_flat`].
+//! - [`key`]: the sentinel-extended key the pair entry pads nodes with.
+//! - [`mod@columnsort`]: the step-simulated Leighton columnsort kernel
+//!   [`columnsort::columnsort_mesh`].
+//! - [`rank`]: segmented ranking over a [`Sorted`].
+//! - [`broadcast`]: segmented broadcast (prefix copy) over a [`Sorted`],
+//!   for request combining.
 //!
 //! # Example
 //!
 //! ```
-//! use prasim_sortnet::shearsort::shearsort;
+//! use prasim_mesh::pool::EnginePool;
+//! use prasim_sortnet::{RouteMemo, Sorter};
 //!
-//! // 2 keys per node on a 4×4 grid, snake-position indexed.
-//! let mut items: Vec<Vec<u64>> = (0..16).map(|i| vec![31 - i, i]).collect();
-//! let cost = shearsort(&mut items, 4, 4, 2);
-//! let flat: Vec<u64> = items.iter().flatten().copied().collect();
-//! assert!(flat.windows(2).all(|w| w[0] <= w[1]));
-//! assert!(cost.steps > 0);
+//! // Node 0 holds two keys, node 5 one, on a 4×4 grid: h = 2.
+//! let pairs = [(0, 31u64), (0, 7), (5, 12)];
+//! let sorted = Sorter::Shearsort.sort_pairs(pairs, 4, 4, &mut EnginePool::new(), &mut RouteMemo::new());
+//! assert_eq!(sorted.keys, [7, 12, 31]);
+//! assert_eq!(sorted.h, 2);
+//! // Key j sits on snake position j / h.
+//! assert_eq!(sorted.placed().last(), Some((1, &31)));
+//! assert!(sorted.cost.steps > 0);
 //! ```
 
 pub mod broadcast;
@@ -48,8 +56,8 @@ pub mod snake;
 pub mod sorter;
 
 pub use broadcast::segmented_broadcast;
-pub use columnsort::{columnsort, columnsort_mesh, RouteMemo};
+pub use columnsort::{columnsort_mesh, RouteMemo};
 pub use rank::rank_sorted;
-pub use shearsort::{shearsort, shearsort_flat, SortCost};
+pub use shearsort::{shearsort_flat, SortCost};
 pub use snake::snake_index;
-pub use sorter::Sorter;
+pub use sorter::{Sorted, Sorter};

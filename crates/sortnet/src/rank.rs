@@ -3,114 +3,114 @@
 //! After a sort, packets destined to the same page/submesh occupy a
 //! contiguous segment of the snake order; *ranking* assigns each packet
 //! its index within its segment (used to spread packets evenly over the
-//! processors of the destination submesh, and by CULLING to count copies
-//! per page). On a mesh this is a segmented parallel prefix, a standard
-//! `O(h·(rows + cols))` pipelined computation; we execute it as a scan
-//! and charge exactly that cost (see DESIGN.md §4).
+//! processors of the destination submesh, and by CULLING to mark the
+//! first copies of each page). On a mesh this is a segmented parallel
+//! prefix, a standard `O(l·(rows + cols))` pipelined computation over
+//! the sort's output ([`Sorted`], `l` its most keys on one node); we
+//! execute it as a scan and charge exactly that cost (see DESIGN.md §4).
 
 use crate::shearsort::SortCost;
-use std::collections::HashMap;
-use std::hash::Hash;
+use crate::sorter::Sorted;
 
-/// Ranks items within groups along the snake order.
+/// Ranks sorted keys within their groups along the snake order.
 ///
-/// `items` must already be sorted so that equal groups are contiguous
-/// (e.g. by [`crate::shearsort::shearsort`] on a key with the group as
-/// prefix). Returns per-item ranks (aligned with `items`), the total
-/// count per group, and the cost charge.
-pub fn rank_sorted<T, G, F>(
-    items: &[Vec<T>],
-    rows: u32,
-    cols: u32,
-    mut group_of: F,
-) -> (Vec<Vec<u64>>, HashMap<G, u64>, SortCost)
+/// Groups must be contiguous in `sorted.keys` (e.g. sorted on a key with
+/// the group as prefix). Returns per-key ranks, aligned with
+/// `sorted.keys`, and the cost charge: one pipelined sweep there and
+/// back, `2·l·(rows + cols)` for `l = sorted.max_fill()` (0 when empty).
+pub fn rank_sorted<T, G, F>(sorted: &Sorted<T>, mut group_of: F) -> (Vec<u64>, SortCost)
 where
-    G: Eq + Hash + Copy,
+    G: Eq + Copy,
     F: FnMut(&T) -> G,
 {
-    let h = items.iter().map(|v| v.len()).max().unwrap_or(0);
-    let mut ranks: Vec<Vec<u64>> = Vec::with_capacity(items.len());
-    let mut counts: HashMap<G, u64> = HashMap::new();
     let mut current: Option<(G, u64)> = None;
-    for buf in items {
-        let mut r = Vec::with_capacity(buf.len());
-        for item in buf {
-            let g = group_of(item);
+    let ranks = sorted
+        .keys
+        .iter()
+        .map(|key| {
+            let g = group_of(key);
             let next = match current {
                 Some((cg, n)) if cg == g => n + 1,
                 _ => 0,
             };
-            r.push(next);
             current = Some((g, next));
-            *counts.entry(g).or_insert(0) = next + 1;
-        }
-        ranks.push(r);
-    }
-    let cost = SortCost {
-        steps: 2 * h as u64 * (rows as u64 + cols as u64),
-        analytic_steps: 2 * h as u64 * (rows as u64 + cols as u64),
+            next
+        })
+        .collect();
+    (ranks, sweep_cost(sorted))
+}
+
+/// The charge of one segmented sweep over `sorted`: `2·l·(rows + cols)`
+/// with `l` its most keys on one node.
+pub(crate) fn sweep_cost<T>(sorted: &Sorted<T>) -> SortCost {
+    let steps = 2 * sorted.max_fill() as u64 * (sorted.rows as u64 + sorted.cols as u64);
+    SortCost {
+        steps,
+        analytic_steps: steps,
         phases: 0,
-    };
-    (ranks, counts, cost)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shearsort::shearsort;
+    use crate::columnsort::RouteMemo;
+    use crate::sorter::Sorter;
+    use prasim_mesh::pool::EnginePool;
+    use std::collections::HashMap;
 
-    #[test]
-    fn ranks_within_contiguous_groups() {
-        // Snake-ordered buffers, groups contiguous.
-        let items: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 10), (0, 11)],
-            vec![(0, 12), (1, 20)],
-            vec![(1, 21)],
-            vec![(2, 30), (2, 31), (2, 32)],
-        ];
-        let (ranks, counts, _) = rank_sorted(&items, 2, 2, |t| t.0);
-        assert_eq!(ranks, vec![vec![0, 1], vec![2, 0], vec![1], vec![0, 1, 2]]);
-        assert_eq!(counts[&0], 3);
-        assert_eq!(counts[&1], 2);
-        assert_eq!(counts[&2], 3);
+    fn sorted<T>(keys: Vec<T>, h: usize) -> Sorted<T> {
+        Sorted {
+            keys,
+            h,
+            rows: 2,
+            cols: 2,
+            cost: SortCost::default(),
+        }
     }
 
     #[test]
-    fn empty_buffers_ok() {
-        let items: Vec<Vec<(u64, u64)>> = vec![vec![], vec![(5, 1)], vec![], vec![(5, 2)]];
-        let (ranks, counts, _) = rank_sorted(&items, 2, 2, |t| t.0);
-        assert_eq!(ranks, vec![vec![], vec![0], vec![], vec![1]]);
-        assert_eq!(counts[&5], 2);
+    fn ranks_within_contiguous_groups() {
+        let keys = vec![(0u64, 10u64), (0, 11), (0, 12), (1, 20), (1, 21), (2, 30)];
+        let (ranks, cost) = rank_sorted(&sorted(keys, 2), |t| t.0);
+        assert_eq!(ranks, vec![0, 1, 2, 0, 1, 0]);
+        assert_eq!(cost.steps, 2 * 2 * 4);
+    }
+
+    #[test]
+    fn empty_input_ranks_nothing_and_costs_nothing() {
+        let (ranks, cost) = rank_sorted(&sorted(Vec::<(u64, u64)>::new(), 1), |t| t.0);
+        assert!(ranks.is_empty());
+        assert_eq!(cost, SortCost::default());
     }
 
     #[test]
     fn sort_then_rank_pipeline() {
         // The canonical use: sort packets by destination group, then rank.
-        let (rows, cols, h) = (4u32, 4u32, 3usize);
-        let n = (rows * cols) as usize;
+        let (rows, cols, h) = (4u32, 4u32, 3u32);
         let mut state = 12345u64;
-        let mut items: Vec<Vec<(u64, u64)>> = (0..n)
+        let pairs: Vec<(u32, (u64, u64))> = (0..rows * cols * h)
             .map(|i| {
-                (0..h)
-                    .map(|j| {
-                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((state >> 33) % 5, (i * h + j) as u64)
-                    })
-                    .collect()
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (i / h, ((state >> 33) % 5, i as u64))
             })
             .collect();
-        shearsort(&mut items, rows, cols, h);
-        let (ranks, counts, _) = rank_sorted(&items, rows, cols, |t| t.0);
+        let s = Sorter::Shearsort.sort_pairs(
+            pairs,
+            rows,
+            cols,
+            &mut EnginePool::new(),
+            &mut RouteMemo::new(),
+        );
+        let (ranks, _) = rank_sorted(&s, |t| t.0);
         // Each (group, rank) pair must be unique and dense per group.
         let mut seen: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (buf, rbuf) in items.iter().zip(&ranks) {
-            for ((g, _), &r) in buf.iter().zip(rbuf) {
-                seen.entry(*g).or_default().push(r);
-            }
+        for ((g, _), &r) in s.keys.iter().zip(&ranks) {
+            seen.entry(*g).or_default().push(r);
         }
         for (g, mut rs) in seen {
             rs.sort_unstable();
-            let expect: Vec<u64> = (0..counts[&g]).collect();
+            let expect: Vec<u64> = (0..rs.len() as u64).collect();
             assert_eq!(rs, expect, "group {g} ranks not dense");
         }
     }

@@ -1,6 +1,9 @@
 //! Shearsort of `h` keys per node on a `rows × cols` grid.
 //!
-//! Each node holds up to `h` keys. The mesh algorithm is merge-split
+//! The kernel [`shearsort_flat`] sorts the sort layer's one buffer
+//! format: `h` slots per node, nodes in snake order, short nodes padded
+//! with keys that sort last (see [`crate::sorter`], which builds that
+//! buffer from `(node, key)` pairs). The mesh algorithm is merge-split
 //! shearsort. A *merge-split* between two adjacent nodes merges their
 //! sorted buffers and hands the lower half to the node earlier in the
 //! line. It is the block form of a compare-exchange and costs `h`
@@ -25,7 +28,6 @@
 //! [`SortCost`] carries both the measured shearsort steps and the
 //! analytic Kunde-style charge so experiments can report either.
 
-use crate::key::Key;
 use crate::snake::snake_index;
 
 /// Communication-cost account of a sorting/ranking operation.
@@ -60,33 +62,6 @@ impl SortCost {
             self.steps
         }
     }
-}
-
-/// Sorts `h`-key-per-node buffers into snake order.
-///
-/// `items` is indexed by snake position (`items.len() == rows·cols`);
-/// every buffer may hold up to `h` keys. On return the concatenation of
-/// the buffers in snake order is sorted, keys are balanced `h` per node
-/// (the trailing nodes hold the remainder), and the cost is returned.
-///
-/// # Panics
-/// Panics if any buffer exceeds `h` keys or `items.len() != rows·cols`.
-pub fn shearsort<T: Ord + Copy>(items: &mut [Vec<T>], rows: u32, cols: u32, h: usize) -> SortCost {
-    assert_eq!(items.len(), (rows as u64 * cols as u64) as usize);
-    assert!(h >= 1);
-    // Flatten to exactly h slots per node, padded with +infinity.
-    let mut buf: Vec<Key<T>> = Vec::with_capacity(items.len() * h);
-    for v in items.iter() {
-        assert!(v.len() <= h, "buffer exceeds h = {h}");
-        buf.extend(v.iter().map(|&x| Key::Val(x)));
-        buf.extend(std::iter::repeat_n(Key::PosInf, h - v.len()));
-    }
-    let cost = shearsort_flat(&mut buf, rows, cols, h, &mut Vec::new());
-    for (slot, node) in items.iter_mut().zip(buf.chunks(h)) {
-        slot.clear();
-        slot.extend(node.iter().filter_map(|k| k.val()));
-    }
-    cost
 }
 
 /// The shearsort kernel on a flat buffer: `buf` holds `h` keys per node,
@@ -157,17 +132,22 @@ pub fn shearsort_flat<K: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::Key;
 
-    fn flatten<T: Copy>(items: &[Vec<T>]) -> Vec<T> {
-        items.iter().flat_map(|v| v.iter().copied()).collect()
-    }
-
-    fn check_sorted(items: &[Vec<u64>], original: &mut Vec<u64>) {
-        let mut got = flatten(items);
-        assert!(got.windows(2).all(|w| w[0] <= w[1]), "not sorted: {got:?}");
-        original.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(&got, original, "keys lost or invented");
+    /// Pads per-node buffers to `h` slots, runs the kernel, and checks
+    /// the output is the input multiset, sorted.
+    fn sort_checked(items: &[Vec<u64>], rows: u32, cols: u32, h: usize) -> SortCost {
+        let mut buf: Vec<Key<u64>> = Vec::with_capacity(items.len() * h);
+        for v in items {
+            buf.extend(v.iter().map(|&x| Key::Val(x)));
+            buf.extend(std::iter::repeat_n(Key::PosInf, h - v.len()));
+        }
+        let cost = shearsort_flat(&mut buf, rows, cols, h, &mut Vec::new());
+        let mut expect: Vec<u64> = items.concat();
+        expect.sort_unstable();
+        let got: Vec<u64> = buf.iter().map_while(|k| k.val()).collect();
+        assert_eq!(got, expect, "{rows}x{cols} h={h}");
+        cost
     }
 
     fn lcg_fill(n: usize, h: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -189,28 +169,15 @@ mod tests {
     #[test]
     fn sorts_single_key_grids() {
         for (rows, cols) in [(1u32, 1u32), (1, 8), (8, 1), (4, 4), (8, 8), (5, 7)] {
-            let mut items = lcg_fill((rows * cols) as usize, 1, 42);
-            let mut orig = flatten(&items);
-            shearsort(&mut items, rows, cols, 1);
-            check_sorted(&items, &mut orig);
+            sort_checked(&lcg_fill((rows * cols) as usize, 1, 42), rows, cols, 1);
         }
     }
 
     #[test]
     fn sorts_multi_key_grids() {
         for (rows, cols, h) in [(4u32, 4u32, 3usize), (8, 8, 4), (3, 5, 7), (16, 16, 2)] {
-            let mut items = lcg_fill((rows * cols) as usize, h, 7 + rows as u64);
-            let mut orig = flatten(&items);
-            shearsort(&mut items, rows, cols, h);
-            check_sorted(&items, &mut orig);
-            // Balanced h keys per node except the tail.
-            let total: usize = items.iter().map(|v| v.len()).sum();
-            let full = total / h;
-            for (i, v) in items.iter().enumerate() {
-                if i < full {
-                    assert_eq!(v.len(), h, "node {i} not full");
-                }
-            }
+            let items = lcg_fill((rows * cols) as usize, h, 7 + rows as u64);
+            sort_checked(&items, rows, cols, h);
         }
     }
 
@@ -218,7 +185,7 @@ mod tests {
     fn sorts_uneven_buffers() {
         // Buffers of varying fill (0..=h keys).
         let (rows, cols, h) = (4u32, 6u32, 5usize);
-        let mut items: Vec<Vec<u64>> = lcg_fill((rows * cols) as usize, h, 99)
+        let items: Vec<Vec<u64>> = lcg_fill((rows * cols) as usize, h, 99)
             .into_iter()
             .enumerate()
             .map(|(i, mut v)| {
@@ -226,9 +193,7 @@ mod tests {
                 v
             })
             .collect();
-        let mut orig = flatten(&items);
-        shearsort(&mut items, rows, cols, h);
-        check_sorted(&items, &mut orig);
+        sort_checked(&items, rows, cols, h);
     }
 
     #[test]
@@ -236,29 +201,21 @@ mod tests {
         let (rows, cols) = (8u32, 8u32);
         let n = (rows * cols) as usize;
         // Reverse order.
-        let mut rev: Vec<Vec<u64>> = (0..n).map(|i| vec![(n - i) as u64]).collect();
-        let mut orig = flatten(&rev);
-        shearsort(&mut rev, rows, cols, 1);
-        check_sorted(&rev, &mut orig);
+        let rev: Vec<Vec<u64>> = (0..n).map(|i| vec![(n - i) as u64]).collect();
+        sort_checked(&rev, rows, cols, 1);
         // All equal.
-        let mut eq: Vec<Vec<u64>> = (0..n).map(|_| vec![5u64, 5]).collect();
-        let mut orig = flatten(&eq);
-        shearsort(&mut eq, rows, cols, 2);
-        check_sorted(&eq, &mut orig);
+        let eq: Vec<Vec<u64>> = (0..n).map(|_| vec![5u64, 5]).collect();
+        sort_checked(&eq, rows, cols, 2);
         // Column-major worst case for row/column sorters.
-        let mut cm: Vec<Vec<u64>> = (0..n).map(|i| vec![((i % 8) * 8 + i / 8) as u64]).collect();
-        let mut orig = flatten(&cm);
-        shearsort(&mut cm, rows, cols, 1);
-        check_sorted(&cm, &mut orig);
+        let cm: Vec<Vec<u64>> = (0..n).map(|i| vec![((i % 8) * 8 + i / 8) as u64]).collect();
+        sort_checked(&cm, rows, cols, 1);
     }
 
     #[test]
     fn cost_scales_with_grid_and_load() {
         let (rows, cols) = (8u32, 8u32);
-        let mut a = lcg_fill(64, 1, 1);
-        let c1 = shearsort(&mut a, rows, cols, 1);
-        let mut b = lcg_fill(64, 4, 1);
-        let c4 = shearsort(&mut b, rows, cols, 4);
+        let c1 = sort_checked(&lcg_fill(64, 1, 1), rows, cols, 1);
+        let c4 = sort_checked(&lcg_fill(64, 4, 1), rows, cols, 4);
         // 4x the keys per node ⇒ ~4x the steps (same number of rounds).
         assert!(c4.steps >= 3 * c1.steps, "c1={c1:?} c4={c4:?}");
         assert_eq!(c1.analytic_steps, 16);
@@ -270,8 +227,8 @@ mod tests {
         // Shearsort theory: ⌈log2 rows⌉ + 1 phases suffice; allow the
         // safety margin but verify we are in the right ballpark.
         for side in [4u32, 8, 16, 32] {
-            let mut items = lcg_fill((side * side) as usize, 2, side as u64);
-            let cost = shearsort(&mut items, side, side, 2);
+            let items = lcg_fill((side * side) as usize, 2, side as u64);
+            let cost = sort_checked(&items, side, side, 2);
             assert!(
                 cost.phases <= side.ilog2() + 2,
                 "side={side}: {} phases",

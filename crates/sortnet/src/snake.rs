@@ -6,6 +6,8 @@
 //! an ascending sort of a contiguous chunk, and the alternating row
 //! directions come out automatically.
 
+use prasim_mesh::topology::MeshShape;
+
 /// Snake position of grid cell `(r, c)`.
 #[inline]
 pub fn snake_index(cols: u32, r: u32, c: u32) -> u32 {
@@ -15,6 +17,13 @@ pub fn snake_index(cols: u32, r: u32, c: u32) -> u32 {
     } else {
         r * cols + (cols - 1 - c)
     }
+}
+
+/// Snake position of row-major node `node` on the whole mesh `shape`.
+#[inline]
+pub fn snake_pos(shape: MeshShape, node: u32) -> u32 {
+    let c = shape.coord(node);
+    snake_index(shape.cols, c.r, c.c)
 }
 
 /// Grid cell `(r, c)` of snake position `pos`.

@@ -1,8 +1,17 @@
-//! The pluggable mesh-sorter layer.
+//! The pluggable mesh-sorter layer and the one sort contract.
 //!
 //! Every hot path of the simulation — the access protocol, CULLING,
-//! CREW/CRCW combining, and both routing layers — sorts through this
-//! dispatch point. Two step-simulated sorters are available:
+//! CREW/CRCW combining, and both routing layers — sorts through
+//! [`Sorter::sort_pairs`] (behind `ExecCtx::sort_pairs`): the caller
+//! hands over `(snake position, key)` pairs on a `rows × cols` submesh
+//! and gets the keys back in sorted order as a [`Sorted`]. The sorter
+//! reads `h = max(1, most keys on one node)` off the input, pads every
+//! node to `h` slots and runs the selected kernel on that one padded,
+//! snake-ordered buffer ([`Sorter::sort_with`]). Sorted key `j` sits on
+//! snake position `j / h`, which is where [`crate::rank`] and
+//! [`crate::broadcast`] pick it up.
+//!
+//! Two step-simulated sorters are available:
 //!
 //! - [`Sorter::Shearsort`] — merge-split shearsort,
 //!   `O(l·√n·log n)` (the historical default; kept for comparison and
@@ -19,7 +28,8 @@
 use prasim_mesh::pool::EnginePool;
 
 use crate::columnsort::{columnsort_mesh, RouteMemo};
-use crate::shearsort::{shearsort, SortCost};
+use crate::key::Key;
+use crate::shearsort::{shearsort_flat, SortCost};
 
 /// Selects the step-simulated sorting algorithm used by the simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -31,20 +41,94 @@ pub enum Sorter {
     Columnsort,
 }
 
+/// Keys sorted into snake order on a `rows × cols` submesh, `h` per node:
+/// key `j` sits on snake position `j / h` (the trailing nodes hold the
+/// remainder, or nothing).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sorted<T> {
+    /// The keys, ascending.
+    pub keys: Vec<T>,
+    /// Keys per node: `max(1, most keys on one node)` of the input.
+    pub h: usize,
+    /// Submesh rows.
+    pub rows: u32,
+    /// Submesh columns.
+    pub cols: u32,
+    /// The sort's measured cost.
+    pub cost: SortCost,
+}
+
+impl<T> Sorted<T> {
+    /// Every key with its snake position, in sorted order.
+    pub fn placed(&self) -> impl Iterator<Item = (u32, &T)> {
+        let h = self.h;
+        self.keys
+            .iter()
+            .enumerate()
+            .map(move |(j, key)| ((j / h) as u32, key))
+    }
+
+    /// The most keys on one node after the sort (0 when there are none):
+    /// the load a pipelined sweep over the sorted keys is charged for.
+    pub fn max_fill(&self) -> usize {
+        self.h.min(self.keys.len())
+    }
+}
+
 impl Sorter {
     /// Every sorter, in display order.
     pub const ALL: [Sorter; 2] = [Sorter::Shearsort, Sorter::Columnsort];
 
-    /// Sorts snake-indexed `h`-key-per-node buffers on a `rows × cols`
-    /// submesh (the [`crate::shearsort::shearsort`] contract) with the
-    /// selected algorithm, returning its measured cost. `engines` and
+    /// Sorts `(snake position, key)` pairs on a `rows × cols` submesh:
+    /// derives `h = max(1, most keys on one node)`, pads every node to
+    /// `h` slots and sorts the padded buffer with [`Sorter::sort_with`].
+    /// Empty input still pays for a sort at `h = 1`.
+    ///
+    /// # Panics
+    /// Panics if a position is outside the submesh.
+    pub fn sort_pairs<T: Ord + Copy>(
+        self,
+        pairs: impl IntoIterator<Item = (u32, T)>,
+        rows: u32,
+        cols: u32,
+        engines: &mut EnginePool,
+        memo: &mut RouteMemo,
+    ) -> Sorted<T> {
+        let nodes = rows as usize * cols as usize;
+        let mut fill = vec![0usize; nodes];
+        let pairs: Vec<(u32, T)> = pairs
+            .into_iter()
+            .inspect(|&(pos, _)| fill[pos as usize] += 1)
+            .collect();
+        let h = fill.iter().copied().max().unwrap_or(0).max(1);
+        let mut buf = vec![Key::PosInf; nodes * h];
+        // Each node fills its first `fill` slots (in reverse input order:
+        // both kernels sort every node before anything else).
+        for (pos, key) in pairs {
+            let p = pos as usize;
+            fill[p] -= 1;
+            buf[p * h + fill[p]] = Key::Val(key);
+        }
+        let cost = self.sort_with(&mut buf, rows, cols, h, engines, memo);
+        Sorted {
+            keys: buf.iter().map_while(|k| k.val()).collect(),
+            h,
+            rows,
+            cols,
+            cost,
+        }
+    }
+
+    /// The kernel dispatch: sorts a padded buffer of `h` keys per node,
+    /// nodes in snake order (`buf.len() == rows·cols·h`), with the
+    /// selected algorithm and returns its measured cost. `engines` and
     /// `memo` are caller-owned execution resources (normally an
     /// execution context's engine pool and columnsort route memo);
     /// shearsort needs neither, columnsort uses them for its
     /// permutation route measurements.
-    pub fn sort_with<T: Ord + Copy>(
+    pub fn sort_with<K: Ord + Copy>(
         self,
-        items: &mut [Vec<T>],
+        buf: &mut [K],
         rows: u32,
         cols: u32,
         h: usize,
@@ -52,8 +136,8 @@ impl Sorter {
         memo: &mut RouteMemo,
     ) -> SortCost {
         match self {
-            Sorter::Shearsort => shearsort(items, rows, cols, h),
-            Sorter::Columnsort => columnsort_mesh(items, rows, cols, h, engines, memo),
+            Sorter::Shearsort => shearsort_flat(buf, rows, cols, h, &mut Vec::new()),
+            Sorter::Columnsort => columnsort_mesh(buf, rows, cols, h, engines, memo),
         }
     }
 
@@ -104,19 +188,22 @@ mod tests {
 
     #[test]
     fn both_sorters_agree() {
-        let mut a: Vec<Vec<u64>> = (0..64u64).rev().map(|x| vec![x, x / 2]).collect();
-        let mut b = a.clone();
-        for (s, items) in [(Sorter::Shearsort, &mut a), (Sorter::Columnsort, &mut b)] {
-            s.sort_with(
-                items,
+        let pairs: Vec<(u32, u64)> = (0..64u32)
+            .rev()
+            .flat_map(|x| [(x, x as u64), (x, x as u64 / 2)])
+            .collect();
+        let [a, b] = Sorter::ALL.map(|s| {
+            s.sort_pairs(
+                pairs.iter().copied(),
                 8,
                 8,
-                2,
                 &mut EnginePool::new(),
                 &mut RouteMemo::new(),
-            );
-        }
-        assert_eq!(a, b);
+            )
+        });
+        assert_eq!(a.keys, b.keys);
+        assert_eq!(a.h, 2);
+        assert_eq!(b.placed().nth(5), Some((2, &b.keys[5])));
     }
 
     #[test]

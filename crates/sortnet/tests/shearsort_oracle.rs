@@ -1,8 +1,8 @@
 //! Oracle test: the flat shearsort kernel against the merge-split
 //! shearsort it replaced.
 //!
-//! The library kernel ([`shearsort_flat`], behind [`shearsort`]) executes
-//! each line pass as one in-place sort of the line. The reference below
+//! The library kernel [`shearsort_flat`] executes each line pass as one
+//! in-place sort of the line. The reference below
 //! runs the same passes round by round with odd-even transposition and
 //! merge-split on per-node `Option<T>` buffers, padding with `None`. By
 //! Baudet–Stevenson (1978) both produce the same sorted line after every
@@ -12,10 +12,13 @@
 //! The second half pins `columnsort_mesh`'s cost at the CULLING shapes
 //! (64×64, h = 4, 6, 9) and two small protocol shapes to the values the
 //! merge-split implementation produced.
+//!
+//! Both kernels take the padded buffer at an explicit `h`, built by
+//! [`pad`] from per-node buffers exactly as the library pads pairs.
 
 use prasim_mesh::pool::EnginePool;
 use prasim_sortnet::key::Key;
-use prasim_sortnet::shearsort::{shearsort, shearsort_flat, SortCost};
+use prasim_sortnet::shearsort::{shearsort_flat, SortCost};
 use prasim_sortnet::snake::snake_index;
 use prasim_sortnet::{columnsort_mesh, RouteMemo};
 use proptest::prelude::*;
@@ -31,6 +34,21 @@ fn column_positions(rows: u32, cols: u32, c: u32) -> Vec<usize> {
 /// chunk).
 fn row_positions(cols: u32, r: u32) -> std::ops::Range<usize> {
     (r * cols) as usize..((r + 1) * cols) as usize
+}
+
+/// Per-node buffers padded to `h` slots each, nodes in snake order.
+fn pad(items: &[Vec<u32>], h: usize) -> Vec<Key<u32>> {
+    let mut buf = Vec::with_capacity(items.len() * h);
+    for v in items {
+        buf.extend(v.iter().map(|&x| Key::Val(x)));
+        buf.extend(std::iter::repeat_n(Key::PosInf, h - v.len()));
+    }
+    buf
+}
+
+/// The real keys of a sorted padded buffer.
+fn unpad(buf: &[Key<u32>]) -> Vec<u32> {
+    buf.iter().map_while(|k| k.val()).collect()
 }
 
 /// The round-by-round merge-split shearsort, kept as the oracle.
@@ -227,8 +245,8 @@ fn input(rows: u32, cols: u32, h: usize, mode: u8, fill: usize, seed: u64) -> Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `shearsort` (and the flat kernel under it) matches the
-    /// merge-split oracle in output and in every `SortCost` field.
+    /// The flat kernel matches the merge-split oracle in output and in
+    /// every `SortCost` field.
     #[test]
     fn flat_kernel_matches_merge_split_oracle(
         rows in 1u32..=16,
@@ -242,22 +260,10 @@ proptest! {
         let mut expect = items.clone();
         let want = oracle_shearsort(&mut expect, rows, cols, h);
 
-        let mut got = items.clone();
-        let cost = shearsort(&mut got, rows, cols, h);
-        prop_assert_eq!(&got, &expect);
+        let mut flat = pad(&items, h);
+        let cost = shearsort_flat(&mut flat, rows, cols, h, &mut Vec::new());
         prop_assert_eq!(cost, want);
-
-        // The kernel on a caller-built flat buffer, as columnsort uses it.
-        let mut flat: Vec<Key<u32>> = Vec::with_capacity(items.len() * h);
-        for v in &items {
-            flat.extend(v.iter().map(|&x| Key::Val(x)));
-            flat.extend(std::iter::repeat_n(Key::PosInf, h - v.len()));
-        }
-        let flat_cost = shearsort_flat(&mut flat, rows, cols, h, &mut Vec::new());
-        prop_assert_eq!(flat_cost, want);
-        let unflat: Vec<u32> = flat.iter().filter_map(|k| k.val()).collect();
-        let oracle: Vec<u32> = expect.iter().flatten().copied().collect();
-        prop_assert_eq!(unflat, oracle);
+        prop_assert_eq!(unpad(&flat), expect.concat());
     }
 }
 
@@ -272,9 +278,13 @@ fn flat_kernel_matches_oracle_on_every_shape() {
             let items = input(rows, cols, h, mode, 60, (rows * 31 + cols) as u64);
             let mut expect = items.clone();
             let want = oracle_shearsort(&mut expect, rows, cols, h);
-            let mut got = items;
-            let cost = shearsort(&mut got, rows, cols, h);
-            assert_eq!(got, expect, "{rows}x{cols} h={h} mode={mode}");
+            let mut got = pad(&items, h);
+            let cost = shearsort_flat(&mut got, rows, cols, h, &mut Vec::new());
+            assert_eq!(
+                unpad(&got),
+                expect.concat(),
+                "{rows}x{cols} h={h} mode={mode}"
+            );
             assert_eq!(cost, want, "{rows}x{cols} h={h} mode={mode}");
         }
     }
@@ -319,12 +329,12 @@ fn columnsort_mesh_costs_are_pinned() {
     ];
     let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
     for (rows, cols, h, mode, steps) in pinned {
-        let mut items = input(rows, cols, h, mode, 60, 0x5eed ^ (rows * cols) as u64);
-        let mut expect: Vec<u32> = items.iter().flatten().copied().collect();
+        let items = input(rows, cols, h, mode, 60, 0x5eed ^ (rows * cols) as u64);
+        let mut expect = items.concat();
         expect.sort_unstable();
-        let cost = columnsort_mesh(&mut items, rows, cols, h, &mut engines, &mut memo);
-        let got: Vec<u32> = items.iter().flatten().copied().collect();
-        assert_eq!(got, expect, "{rows}x{cols} h={h} mode={mode}");
+        let mut buf = pad(&items, h);
+        let cost = columnsort_mesh(&mut buf, rows, cols, h, &mut engines, &mut memo);
+        assert_eq!(unpad(&buf), expect, "{rows}x{cols} h={h} mode={mode}");
         assert_eq!(
             cost,
             SortCost {

@@ -1,12 +1,28 @@
-//! Property tests: shearsort against the standard library sort oracle.
+//! Property tests: the sort layer against the standard library sort.
 
-use prasim_sortnet::shearsort::shearsort;
+use prasim_mesh::pool::EnginePool;
+use prasim_sortnet::key::Key;
+use prasim_sortnet::shearsort::shearsort_flat;
 use prasim_sortnet::snake::{snake_coord, snake_index};
+use prasim_sortnet::{RouteMemo, Sorter};
 use proptest::prelude::*;
+
+/// Places `(node, key)` pairs `h` slots per node, padding the rest — the
+/// buffer the pair entry hands its kernel, filled in input order.
+fn pad(pairs: &[(u32, u32)], nodes: usize, h: usize) -> Vec<Key<u32>> {
+    let mut buf = vec![Key::PosInf; nodes * h];
+    let mut fill = vec![0usize; nodes];
+    for &(p, key) in pairs {
+        let p = p as usize;
+        buf[p * h + fill[p]] = Key::Val(key);
+        fill[p] += 1;
+    }
+    buf
+}
 
 proptest! {
     /// Shearsort produces exactly the multiset, sorted in snake order,
-    /// balanced h-per-node, for arbitrary grids, loads and data.
+    /// for arbitrary grids, loads and data.
     #[test]
     fn matches_std_sort(
         rows in 1u32..12,
@@ -14,27 +30,26 @@ proptest! {
         h in 1usize..6,
         data in prop::collection::vec(any::<u32>(), 0..300),
     ) {
-        let n = (rows * cols) as usize;
+        let n = rows * cols;
         // Distribute data round-robin, truncated to capacity.
-        let mut items: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, &x) in data.iter().take(n * h).enumerate() {
-            items[i % n].push(x);
-        }
-        let mut expect: Vec<u32> = items.iter().flatten().copied().collect();
+        let pairs: Vec<(u32, u32)> = data
+            .iter()
+            .take(n as usize * h)
+            .enumerate()
+            .map(|(i, &x)| (i as u32 % n, x))
+            .collect();
+        let mut expect: Vec<u32> = pairs.iter().map(|&(_, x)| x).collect();
         expect.sort_unstable();
 
-        let cost = shearsort(&mut items, rows, cols, h);
-        let got: Vec<u32> = items.iter().flatten().copied().collect();
-        prop_assert_eq!(got, expect);
-        prop_assert!(cost.steps > 0 || data.is_empty() || n == 1 || data.len() <= 1);
-        // Balance: all nodes before the last non-empty one are full.
-        let total: usize = items.iter().map(|v| v.len()).sum();
-        let full_nodes = total / h;
-        for (i, v) in items.iter().enumerate() {
-            if i < full_nodes {
-                prop_assert_eq!(v.len(), h);
-            }
-        }
+        let sorted = Sorter::Shearsort.sort_pairs(
+            pairs,
+            rows,
+            cols,
+            &mut EnginePool::new(),
+            &mut RouteMemo::new(),
+        );
+        prop_assert!(sorted.cost.steps > 0 || data.is_empty() || n == 1 || data.len() <= 1);
+        prop_assert_eq!(sorted.keys, expect);
     }
 
     /// Sorting is idempotent.
@@ -42,16 +57,14 @@ proptest! {
     fn idempotent(rows in 1u32..8, cols in 1u32..8, seed in any::<u64>()) {
         let n = (rows * cols) as usize;
         let mut state = seed | 1;
-        let mut items: Vec<Vec<u64>> = (0..n).map(|_| {
-            (0..3).map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                state >> 40
-            }).collect()
+        let mut buf: Vec<u64> = (0..n * 3).map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 40
         }).collect();
-        shearsort(&mut items, rows, cols, 3);
-        let once = items.clone();
-        shearsort(&mut items, rows, cols, 3);
-        prop_assert_eq!(items, once);
+        shearsort_flat(&mut buf, rows, cols, 3, &mut Vec::new());
+        let once = buf.clone();
+        shearsort_flat(&mut buf, rows, cols, 3, &mut Vec::new());
+        prop_assert_eq!(buf, once);
     }
 
     /// Snake index maps are mutually inverse bijections.
@@ -69,89 +82,86 @@ proptest! {
     }
 }
 
-mod columnsort_props {
-    use prasim_sortnet::columnsort::columnsort;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Columnsort agrees with the standard sort for arbitrary data on
-        /// power-of-two meshes with partial fill.
-        #[test]
-        fn matches_std_sort(
-            side in prop::sample::select(&[4u32, 8, 16, 32]),
-            h in 1usize..5,
-            data in prop::collection::vec(any::<u32>(), 1..800),
-        ) {
-            let cap = (side * side) as usize * h;
-            let mut v: Vec<u32> = data.into_iter().take(cap).collect();
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            columnsort(&mut v, side, side, h);
-            prop_assert_eq!(v, expect);
-        }
-    }
-}
-
 mod sorter_agreement {
+    use super::pad;
     use prasim_mesh::pool::EnginePool;
-    use prasim_sortnet::{columnsort_mesh, shearsort::shearsort, RouteMemo, Sorter};
+    use prasim_sortnet::broadcast::segmented_broadcast;
+    use prasim_sortnet::{columnsort_mesh, rank_sorted, shearsort_flat, RouteMemo, Sorter};
     use proptest::prelude::*;
 
     proptest! {
-        /// Both mesh sorters and the standard library agree on the sorted
-        /// multiset for random shapes — non-square meshes and h > 1
-        /// included — and both leave the keys balanced h-per-node.
+        /// Both sorters take `(node, key)` pairs on random shapes —
+        /// empty input, uneven fill and every key on one node included —
+        /// and return the standard library's sorted keys at
+        /// `h = max(1, largest fill)`, charging what their kernel charges
+        /// on the node buffers padded at that `h`. Empty input still pays
+        /// for a sort at `h = 1`; rank and broadcast charge from the
+        /// largest fill after the sort, so nothing on empty input.
         #[test]
         fn sorters_agree_on_random_multisets(
             rows in 1u32..10,
             cols in 1u32..10,
-            h in 1usize..5,
-            data in prop::collection::vec(any::<u32>(), 0..250),
+            layout in 0u8..3,
+            data in prop::collection::vec((any::<u32>(), any::<u32>()), 0..250),
         ) {
-            let n = (rows * cols) as usize;
-            let mut items: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (i, &x) in data.iter().take(n * h).enumerate() {
-                items[i % n].push(x);
+            let n = rows * cols;
+            let pairs: Vec<(u32, u32)> = match layout {
+                0 => Vec::new(),
+                1 => data.iter().map(|&(node, key)| (node % n, key)).collect(),
+                _ => data.iter().map(|&(_, key)| (data.len() as u32 % n, key)).collect(),
+            };
+            let mut fill = vec![0usize; n as usize];
+            for &(p, _) in &pairs {
+                fill[p as usize] += 1;
             }
-            let mut expect: Vec<u32> = items.iter().flatten().copied().collect();
+            let h = fill.iter().copied().max().unwrap_or(0).max(1);
+            let mut expect: Vec<u32> = pairs.iter().map(|&(_, k)| k).collect();
             expect.sort_unstable();
+            let sweep = 2 * h.min(expect.len()) as u64 * (rows + cols) as u64;
 
-            let mut by_shear = items.clone();
-            shearsort(&mut by_shear, rows, cols, h);
-            let mut by_col = items.clone();
-            columnsort_mesh(&mut by_col, rows, cols, h, &mut EnginePool::new(), &mut RouteMemo::new());
+            let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
+            for sorter in Sorter::ALL {
+                let mut sorted =
+                    sorter.sort_pairs(pairs.iter().copied(), rows, cols, &mut engines, &mut memo);
+                prop_assert_eq!(&sorted.keys, &expect);
+                prop_assert_eq!(sorted.h, h);
+                prop_assert!(sorted.placed().all(|(pos, _)| pos < n));
 
-            let shear_flat: Vec<u32> = by_shear.iter().flatten().copied().collect();
-            let col_flat: Vec<u32> = by_col.iter().flatten().copied().collect();
-            prop_assert_eq!(&shear_flat, &expect);
-            prop_assert_eq!(&col_flat, &expect);
-            // Identical balanced layout, node by node.
-            prop_assert_eq!(&by_shear, &by_col);
+                let mut buf = pad(&pairs, n as usize, h);
+                let kernel = sorter.sort_with(&mut buf, rows, cols, h, &mut engines, &mut memo);
+                prop_assert_eq!(sorted.cost, kernel);
+                prop_assert_eq!(sorted.cost.analytic_steps, h as u64 * (rows + cols) as u64);
+                prop_assert!(sorted.cost.steps > 0, "every sort is charged");
+
+                let (ranks, rank_cost) = rank_sorted(&sorted, |&k| k);
+                prop_assert_eq!(ranks.len(), expect.len());
+                prop_assert_eq!(rank_cost.steps, sweep);
+                let bcast = segmented_broadcast(&mut sorted, |&k| k, |_| None::<u32>, |_, _| {});
+                prop_assert_eq!(bcast.steps, sweep);
+            }
         }
 
-        /// The [`Sorter`] dispatch layer routes to the same
-        /// implementations (cost accounting included).
+        /// The [`Sorter`] dispatch layer routes to the same kernels
+        /// (cost accounting included).
         #[test]
         fn dispatch_matches_direct(
             rows in 1u32..8,
             cols in 1u32..8,
             seed in any::<u64>(),
         ) {
-            let n = (rows * cols) as usize;
+            let n = rows * cols;
             let mut state = seed | 1;
-            let items: Vec<Vec<u64>> = (0..n).map(|_| {
-                (0..2).map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    state >> 40
-                }).collect()
+            let pairs: Vec<(u32, u32)> = (0..2 * n).map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (i / 2, (state >> 40) as u32)
             }).collect();
-            for sorter in [Sorter::Shearsort, Sorter::Columnsort] {
-                let mut a = items.clone();
+            for sorter in Sorter::ALL {
+                let mut a = pad(&pairs, n as usize, 2);
                 let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
                 let ca = sorter.sort_with(&mut a, rows, cols, 2, &mut engines, &mut memo);
-                let mut b = items.clone();
+                let mut b = pad(&pairs, n as usize, 2);
                 let cb = match sorter {
-                    Sorter::Shearsort => shearsort(&mut b, rows, cols, 2),
+                    Sorter::Shearsort => shearsort_flat(&mut b, rows, cols, 2, &mut Vec::new()),
                     Sorter::Columnsort => {
                         columnsort_mesh(&mut b, rows, cols, 2, &mut engines, &mut memo)
                     }

@@ -8,12 +8,13 @@
 //! cargo run --release --example heatmap
 //! ```
 
+use prasim::exec::ExecCtx;
 use prasim::mesh::engine::{Engine, Packet};
 use prasim::mesh::region::{Rect, Tessellation};
 use prasim::mesh::topology::MeshShape;
 use prasim::routing::problem::RoutingInstance;
-use prasim::sortnet::shearsort::shearsort;
-use prasim::sortnet::snake::{snake_coord, snake_index};
+use prasim::sortnet::snake::{snake_coord, snake_pos};
+use prasim::sortnet::Sorter;
 
 fn main() {
     let shape = MeshShape::square(32);
@@ -51,35 +52,33 @@ fn main() {
     println!("{}", trace.heatmap());
 
     // --- Sort by destination first, then greedy. ---
-    let mut items: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n as usize];
-    for (i, &(s, d)) in inst.pairs.iter().enumerate() {
-        let sc = shape.coord(s);
-        let pos = snake_index(shape.cols, sc.r, sc.c) as usize;
-        let dc = shape.coord(d);
-        items[pos].push((snake_index(shape.cols, dc.r, dc.c) as u64, i as u64));
-    }
-    let cost = shearsort(&mut items, shape.rows, shape.cols, 2);
+    let sorted = ExecCtx::new(1, Sorter::Shearsort, false).sort_pairs(
+        inst.pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d))| (snake_pos(shape, s), (snake_pos(shape, d), i as u64))),
+        shape.rows,
+        shape.cols,
+    );
     let mut engine = Engine::new(shape).with_trace();
-    for (pos, buf) in items.iter().enumerate() {
-        let (r, c) = snake_coord(shape.cols, pos as u32);
-        for &(_, idx) in buf {
-            engine.inject(
-                prasim::mesh::topology::Coord { r, c },
-                Packet {
-                    id: idx,
-                    dest: shape.coord(inst.pairs[idx as usize].1),
-                    bounds,
-                    tag: idx,
-                },
-            );
-        }
+    for (pos, &(_, idx)) in sorted.placed() {
+        let (r, c) = snake_coord(shape.cols, pos);
+        engine.inject(
+            prasim::mesh::topology::Coord { r, c },
+            Packet {
+                id: idx,
+                dest: shape.coord(inst.pairs[idx as usize].1),
+                bounds,
+                tag: idx,
+            },
+        );
     }
     let stats = engine.run(1_000_000).unwrap();
     let trace = engine.trace().unwrap();
     let (hot, dir, count) = trace.hottest().unwrap();
     println!(
         "sorted-then-greedy: {} sort + {} route steps, hottest link ({},{}) {:?} carried {}",
-        cost.steps, stats.steps, hot.r, hot.c, dir, count
+        sorted.cost.steps, stats.steps, hot.r, hot.c, dir, count
     );
     println!("{}", trace.heatmap());
 }

@@ -92,6 +92,11 @@ impl Args {
             .unwrap_or(default)
     }
 
+    fn get_u32(&self, key: &str, default: u32) -> u32 {
+        u32::try_from(self.get_u64(key, default.into()))
+            .unwrap_or_else(|_| die(&format!("--{key} expects a number below 2^32")))
+    }
+
     fn get_f64(&self, key: &str, default: f64) -> f64 {
         self.flags
             .get(key)
@@ -214,7 +219,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     let sorter = args.sorter();
     let config = SimConfig::new(n, memory)
         .with_q(args.get_u64("q", 3))
-        .with_k(args.get_u64("k", 2) as u32)
+        .with_k(args.get_u32("k", 2))
         .with_culling_slack(args.get_f64("slack", 1.0))
         .with_analytic_sort(args.has("analytic"))
         .with_read_policy(policy)
@@ -371,9 +376,9 @@ fn cmd_simulate(args: &Args) -> ExitCode {
 fn cmd_structure(args: &Args) -> ExitCode {
     args.check(&["n", "d", "q", "k"]);
     let n = args.get_u64("n", 1024);
-    let d = args.get_u64("d", 5) as u32;
+    let d = args.get_u32("d", 5);
     let q = args.get_u64("q", 3);
-    let k = args.get_u64("k", 2) as u32;
+    let k = args.get_u32("k", 2);
     let params = match HmosParams::with_d(q, k, n, d) {
         Ok(p) => p,
         Err(e) => die(&format!("{e}")),
@@ -458,7 +463,7 @@ fn cmd_route(args: &Args) -> ExitCode {
 fn cmd_bibd(args: &Args) -> ExitCode {
     args.check(&["q", "d", "m", "dot"]);
     let q = args.get_u64("q", 3);
-    let d = args.get_u64("d", 2) as u32;
+    let d = args.get_u32("d", 2);
     let bibd = match Bibd::new(q, d) {
         Ok(b) => b,
         Err(e) => die(&format!("{e}")),

@@ -27,6 +27,11 @@ fn bad_arguments_exit_2() {
         &["structure", "--n", "1024", "--threads", "2"],
         &["bibd", "--q", "x"],
         &["simulate", "extra"],
+        &["bibd", "--q", "3", "--d", "0"],
+        &["bibd", "--q", "3", "--d", "4294967298"],
+        &["structure", "--n", "64", "--d", "0"],
+        &["simulate", "--n", "64", "--memory", "12", "--q", "1"],
+        &["simulate", "--n", "64", "--memory", "12", "--q", "0"],
     ] {
         assert_eq!(prasim(args), Some(2), "prasim {args:?}");
     }
