@@ -1,4 +1,5 @@
-//! Execution-context reuse benchmarks (the wall-clock half of T18).
+//! Execution-context reuse benchmarks: what a warm context's engine
+//! pool and parked worker pool save over cold construction.
 //!
 //! Two comparisons, both on the T16 routing workload:
 //!
@@ -9,8 +10,8 @@
 //!   runs against a context rebuilt (threads respawned) every run.
 //!
 //! Determinism across the two paths is enforced by the equivalence
-//! proptest and the T18 table's in-process assertions; this file only
-//! measures throughput.
+//! proptest (`tests/exec_context.rs`); this file only measures
+//! throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use prasim_exec::ExecCtx;

@@ -25,8 +25,9 @@ fn bench_sorter(c: &mut Criterion, sorter: Sorter) {
     let (mut engines, mut memo) = (EnginePool::new(), RouteMemo::new());
     for &side in &[16u32, 32, 64] {
         for &h in &[1usize, 4, 9] {
-            // Warm columnsort's permutation-cost cache outside the timing
-            // loop: route measurement happens once per shape, not per sort.
+            // Sort once outside the timing loop, so a shape the committed
+            // route-cost table lacks is measured into the memo before timing
+            // starts: route measurement happens once per shape, not per sort.
             sorter.sort_pairs(grid(side, h, 42), side, side, &mut engines, &mut memo);
             g.bench_function(format!("side{side}_h{h}"), |b| {
                 b.iter_batched(

@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (T1–T18) of EXPERIMENTS.md.
+//! Regenerates every experiment table (T1–T17) of EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p prasim-bench --bin reproduce            # standard sizes
@@ -13,7 +13,7 @@
 //! N workers (default: available parallelism). The tables are
 //! byte-identical for every value — the CI determinism matrix diffs
 //! selected tables across `--threads 1/2/8` to prove it; only the
-//! wall-clock columns of T16/T18 vary.
+//! wall-clock columns of T16 vary.
 //!
 //! `--sorter shearsort|columnsort` selects the mesh sorter behind every
 //! sort phase (default: columnsort). The CI sorter matrix regenerates
@@ -25,17 +25,17 @@
 //! with status 2 and a usage message before any table runs.
 //!
 //! Whenever T17 runs, its data is also written to `BENCH_sorters.json`
-//! (machine-readable step counts per sorter per `n`); T18 likewise
-//! writes `BENCH_exec.json` (context-reuse throughput data). Standard
-//! and full runs write them into the working directory, where the
-//! committed copies live; quick runs write them under
-//! `target/reproduce-quick/`, so a CI-sized run never overwrites them.
+//! (machine-readable step counts per sorter per `n`). Standard and full
+//! runs write it into the working directory, where the committed copy
+//! lives; quick runs write it under `target/reproduce-quick/`, so a
+//! CI-sized run never overwrites it.
 
+use prasim_bench::sizes::{self, T10_SIZE, T11_SIZE, T12_SIZE, T9_KS};
 use prasim_bench::tables::{self, Table};
 use prasim_sortnet::Sorter;
 use std::path::Path;
 
-const USAGE: &str = "usage: reproduce [quick|full] [T1..T18]... [--threads N] \
+const USAGE: &str = "usage: reproduce [quick|full] [T1..T17]... [--threads N] \
                      [--sorter shearsort|columnsort]";
 
 /// Where quick runs write their JSON artifacts, relative to the
@@ -85,9 +85,9 @@ fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, St
     it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
-/// Whether `id` names one of T1–T18 (case-insensitive).
+/// Whether `id` names one of T1–T17 (case-insensitive).
 fn is_table_id(id: &str) -> bool {
-    (1..=18).any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
+    (1..=17).any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
 }
 
 /// Writes a table's JSON artifact (see the module docs for where).
@@ -113,25 +113,7 @@ fn main() {
     } = args;
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
-    // α ≈ 1.33–1.42 series: d grows with n.
-    let mut t1_sizes: Vec<(u64, u32)> = if quick {
-        vec![(256, 4), (1024, 5)]
-    } else {
-        vec![(256, 4), (1024, 5), (4096, 6), (16384, 7)]
-    };
-    if full {
-        t1_sizes.push((65536, 8));
-    }
-    let t2_ns: Vec<u64> = if quick {
-        vec![256, 1024]
-    } else {
-        vec![256, 1024, 4096, 16384]
-    };
-    let t3_ns: Vec<u64> = if quick {
-        vec![1024]
-    } else {
-        vec![1024, 4096, 16384]
-    };
+    let t1_sizes = sizes::t1_sizes(quick, full);
 
     let mut out: Vec<Table> = Vec::new();
     if want("T1") {
@@ -139,13 +121,15 @@ fn main() {
         out.push(tables::t1_slowdown(&t1_sizes, 2, true, threads, sorter));
     }
     if want("T2") {
-        out.push(tables::t2_routing(&t2_ns, &[1, 2, 4], threads, sorter));
+        let ns = sizes::t2_ns(quick);
+        out.push(tables::t2_routing(&ns, &[1, 2, 4], threads, sorter));
     }
     if want("T3") {
-        out.push(tables::t3_hierarchical(&t3_ns, 1, threads, sorter));
+        let ns = sizes::t3_ns(quick);
+        out.push(tables::t3_hierarchical(&ns, 1, threads, sorter));
     }
     if want("T4") {
-        let (n, d) = if quick { (1024, 5) } else { (4096, 6) };
+        let (n, d) = sizes::t4_size(quick);
         out.push(tables::t4_culling_bounds(n, d, 2, threads, sorter));
     }
     if want("T5") {
@@ -165,36 +149,34 @@ fn main() {
         ]));
     }
     if want("T9") {
-        let n = if quick { 1024 } else { 4096 };
-        let d = 5;
-        out.push(tables::t9_redundancy(n, d, &[1, 2, 3], threads, sorter));
+        let (n, d) = sizes::t9_size(quick);
+        out.push(tables::t9_redundancy(n, d, &T9_KS, threads, sorter));
     }
     if want("T10") {
-        out.push(tables::t10_baselines(1024, threads, sorter));
+        let (n, memory) = T10_SIZE;
+        out.push(tables::t10_baselines(n, memory, threads, sorter));
     }
     if want("T11") {
+        let (n, memory) = T11_SIZE;
+        let programs = if quick { 10 } else { 40 };
         out.push(tables::t11_consistency(
-            if quick { 10 } else { 40 },
-            threads,
-            sorter,
+            programs, n, memory, threads, sorter,
         ));
     }
     if want("T12") {
         // Fixed seed: the fault sweep is byte-identical across runs.
-        out.push(tables::t12_fault_sweep(1024, 5, 0xFA17, threads, sorter));
+        let (n, d) = T12_SIZE;
+        out.push(tables::t12_fault_sweep(n, d, 0xFA17, threads, sorter));
     }
     if want("T13") {
-        out.push(tables::t13_slack_ablation(1024, 5, threads, sorter));
+        let (n, d) = T12_SIZE;
+        out.push(tables::t13_slack_ablation(n, d, threads, sorter));
     }
     if want("T14") {
-        out.push(tables::t14_q_sweep(
-            if quick { 1024 } else { 4096 },
-            threads,
-            sorter,
-        ));
+        out.push(tables::t14_q_sweep(sizes::t14_n(quick), threads, sorter));
     }
     if want("T15") {
-        let (n, d) = if quick { (1024, 5) } else { (4096, 6) };
+        let (n, d) = sizes::t4_size(quick);
         out.push(tables::t15_stage_deltas(n, d, 2, threads, sorter));
     }
     if want("T16") {
@@ -213,15 +195,6 @@ fn main() {
         let (table, json) = tables::t17_sorters(&t17_ns, threads);
         out.push(table);
         write_artifact(quick, "BENCH_sorters.json", &json);
-    }
-    if want("T18") {
-        // Context reuse: same workload as T16, run as repeated steps with
-        // a fresh ExecCtx per step vs one warm context. Wall-clock columns
-        // vary run to run; steps/delivered/queue are deterministic.
-        let (n, ppn, reps) = if quick { (1024, 8, 6) } else { (4096, 16, 8) };
-        let (table, json) = tables::t18_context_reuse(n, ppn, reps, threads, sorter);
-        out.push(table);
-        write_artifact(quick, "BENCH_exec.json", &json);
     }
 
     println!("# prasim — reproduced results\n");

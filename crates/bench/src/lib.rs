@@ -3,7 +3,9 @@
 //! "tables" here validate its claims empirically; see EXPERIMENTS.md).
 //!
 //! Each `tables::t*` function runs one experiment and returns a
-//! [`tables::Table`]; the `reproduce` binary prints them all.
+//! [`tables::Table`]; the `reproduce` binary prints them all at the
+//! problem sizes in [`sizes`].
 
 pub mod fit;
+pub mod sizes;
 pub mod tables;

@@ -2,6 +2,7 @@
 //! index and EXPERIMENTS.md for recorded results.
 
 use crate::fit::{power_fit, r_squared};
+use crate::sizes::{t14_degree, T14_QS};
 use prasim_bibd::{input_count, verify, Bibd, BibdSubgraph};
 use prasim_core::baseline::{BaselineScheme, FlatHmosSim, MehlhornVishkinSim, SingleCopySim};
 use prasim_core::culling::cull_with;
@@ -565,16 +566,16 @@ pub fn t9_redundancy(n: u64, d: u32, ks: &[u32], threads: usize, sorter: Sorter)
 }
 
 /// **T10 (Section 1).** Worst-case behaviour of the baselines vs the
-/// HMOS scheme.
-pub fn t10_baselines(n: u64, threads: usize, sorter: Sorter) -> Table {
-    let mut sim = PramMeshSim::new(config(n, 9000, threads, sorter)).expect("valid sim");
+/// HMOS scheme on `n` nodes with `memory` requested.
+pub fn t10_baselines(n: u64, memory: u64, threads: usize, sorter: Sorter) -> Table {
+    let mut sim = PramMeshSim::new(config(n, memory, threads, sorter)).expect("valid sim");
     let nv = sim.num_variables();
     // The single-copy scheme has no BIBD structure, so it gets the large
     // (n²-variable) memory its worst case needs: n variables that all
     // home on node 0.
     let mut single = SingleCopySim::new(n, n * n, threads, sorter).unwrap();
     let mut mv = MehlhornVishkinSim::new(n, nv, 3, threads, sorter).unwrap();
-    let mut flat = FlatHmosSim::new(3, 2, n, 9000, threads, sorter).unwrap();
+    let mut flat = FlatHmosSim::new(3, 2, n, memory, threads, sorter).unwrap();
 
     let uniform = workload::random_distinct(n.min(nv), nv, 7);
     let single_uniform = workload::random_distinct(n, n * n, 7);
@@ -666,12 +667,19 @@ pub fn t10_baselines(n: u64, threads: usize, sorter: Sorter) -> Table {
 }
 
 /// **T11 (Definition 2).** Randomized consistency audit: mixed programs
-/// against an ideal memory; counts agreeing reads.
-pub fn t11_consistency(programs: u64, threads: usize, sorter: Sorter) -> Table {
+/// against an ideal memory on `n` nodes with `memory` requested; counts
+/// agreeing reads.
+pub fn t11_consistency(
+    programs: u64,
+    n: u64,
+    memory: u64,
+    threads: usize,
+    sorter: Sorter,
+) -> Table {
     let mut rng = SplitMix64(2024);
     let mut total_reads = 0u64;
     let mut agree = 0u64;
-    let mut sim = PramMeshSim::new(config(256, 100, threads, sorter)).expect("valid sim");
+    let mut sim = PramMeshSim::new(config(n, memory, threads, sorter)).expect("valid sim");
     let nv = sim.num_variables();
     let mut ideal = std::collections::HashMap::new();
     for _ in 0..programs {
@@ -679,14 +687,14 @@ pub fn t11_consistency(programs: u64, threads: usize, sorter: Sorter) -> Table {
         let count = rng.below(200) + 1;
         let mut used = std::collections::HashSet::new();
         let mut step = PramStep {
-            ops: vec![None; 256],
+            ops: vec![None; n as usize],
         };
         for _ in 0..count {
             let var = rng.below(nv);
             if !used.insert(var) {
                 continue;
             }
-            let p = rng.below(256) as usize;
+            let p = rng.below(n) as usize;
             if step.ops[p].is_some() {
                 continue;
             }
@@ -987,13 +995,8 @@ pub fn t13_slack_ablation(n: u64, d: u32, threads: usize, sorter: Sorter) -> Tab
 /// Measured: same mesh and comparable memory, `q ∈ {3, 4, 5}`.
 pub fn t14_q_sweep(n: u64, threads: usize, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
-    for q in [3u64, 4, 5] {
-        // Pick d so the memory sizes are comparable (~n^1.3).
-        let target_mem = (n as f64).powf(1.3) as u64;
-        let mut d = 2;
-        while prasim_bibd::input_count(q, d + 1).is_some_and(|f| f <= target_mem) {
-            d += 1;
-        }
+    for q in T14_QS {
+        let d = t14_degree(q, n);
         let params = match HmosParams::with_d(q, 2, n, d) {
             Ok(p) => p,
             Err(e) => {
@@ -1213,156 +1216,6 @@ pub fn t17_sorters(ns: &[u64], threads: usize) -> (Table, String) {
                 .collect(),
             rows,
             notes,
-        },
-        json,
-    )
-}
-
-/// **T18 (context reuse).** Multi-step throughput of a persistent
-/// execution context against the seed's cold-start behavior (a fresh
-/// context per step), on simulation-shaped steps built from the T16
-/// routing workload: each step sorts the request keys on the mesh (the
-/// protocol's sort phase — columnsort's permutation measurements hit
-/// the context's route memo) and then routes the packets to completion
-/// on an engine checked out of the context. "Fresh" rebuilds the whole
-/// context every step — threads spawned and joined per step, queues
-/// reallocated, the route memo re-measured from scratch; "reused" runs
-/// every step against one long-lived [`prasim_exec::ExecCtx`]. The
-/// sort cost and routing outcome are asserted byte-identical between
-/// the two modes (only the wall-clock columns may differ). Also
-/// returns the data as a machine-readable JSON document
-/// (`BENCH_exec.json`).
-pub fn t18_context_reuse(
-    n: u64,
-    packets_per_node: u64,
-    reps: u64,
-    threads: usize,
-    sorter: Sorter,
-) -> (Table, String) {
-    use prasim_mesh::engine::Packet;
-    use prasim_sortnet::snake::{snake_index, snake_pos};
-    use std::time::Instant;
-
-    let shape = MeshShape::square_of(n).expect("square n");
-    let full = Rect::full(shape);
-
-    // One simulation-shaped step: sort the request keys (as the access
-    // protocol does between its routing stages), then inject the T16
-    // workload and route it to completion on an engine checked out of
-    // `ctx`.
-    let run_step = |ctx: &mut ExecCtx| {
-        let mut rng = SplitMix64(0xC0FFEE ^ n);
-        let mut id = 0u64;
-        let mut pairs: Vec<(u32, (u32, u64))> = Vec::with_capacity((n * packets_per_node) as usize);
-        let mut pkts: Vec<(u32, Packet)> = Vec::with_capacity((n * packets_per_node) as usize);
-        for node in 0..shape.nodes() as u32 {
-            let pos = snake_pos(shape, node);
-            for _ in 0..packets_per_node {
-                let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
-                let key = snake_index(shape.cols, dest.r, dest.c);
-                pairs.push((pos, (key, id)));
-                pkts.push((
-                    node,
-                    Packet {
-                        id,
-                        dest,
-                        bounds: full,
-                        tag: id,
-                    },
-                ));
-                id += 1;
-            }
-        }
-        let sort_cost = ctx.sort_pairs(pairs, shape.rows, shape.cols).cost;
-        let mut engine = ctx.engine(shape);
-        for (node, pkt) in pkts {
-            engine.inject(shape.coord(node), pkt);
-        }
-        let stats = engine.run(100_000_000).expect("routing finishes");
-        let delivered = engine.drain_delivered().count();
-        ctx.recycle(engine);
-        (sort_cost.steps, stats, delivered)
-    };
-
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-    let mut obs: Option<(u64, prasim_mesh::engine::EngineStats, usize)> = None;
-    for mode in ["fresh", "reused"] {
-        let new_ctx = || ExecCtx::new(threads, sorter, false);
-        let mut reused_ctx = new_ctx(); // built once, outside the clock
-        let t0 = Instant::now();
-        let mut last = None;
-        for _ in 0..reps {
-            let step_obs = if mode == "fresh" {
-                run_step(&mut new_ctx())
-            } else {
-                run_step(&mut reused_ctx)
-            };
-            match &last {
-                None => last = Some(step_obs),
-                Some(b) => assert_eq!(b, &step_obs, "steps must repeat identically"),
-            }
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        let last = last.expect("reps >= 1");
-        match &obs {
-            None => obs = Some(last),
-            Some(b) => assert_eq!(b, &last, "context reuse changed the outcome"),
-        }
-        let (sort_steps, stats, delivered) = last;
-        walls.push(wall);
-        rows.push(vec![
-            mode.to_string(),
-            sort_steps.to_string(),
-            stats.steps.to_string(),
-            delivered.to_string(),
-            stats.max_queue.to_string(),
-            format!("{:.3}", wall),
-            format!("{:.1}", reps as f64 / wall),
-            format!("{:.2}x", walls[0] / wall),
-        ]);
-    }
-    let speedup = walls[0] / walls[1];
-    let json = format!(
-        "{{\n  \"experiment\": \"T18\",\n  \"n\": {n},\n  \"packets_per_node\": \
-         {packets_per_node},\n  \"reps\": {reps},\n  \"threads\": {threads},\n  \"modes\": [\n    \
-         {{\"name\": \"fresh\", \"wall_s\": {:.6}, \"steps_per_s\": {:.3}}},\n    \
-         {{\"name\": \"reused\", \"wall_s\": {:.6}, \"steps_per_s\": {:.3}}}\n  ],\n  \
-         \"speedup\": {:.4}\n}}\n",
-        walls[0],
-        reps as f64 / walls[0],
-        walls[1],
-        reps as f64 / walls[1],
-        speedup,
-    );
-    (
-        Table {
-            id: "T18",
-            title: format!(
-                "execution-context reuse — {reps} sort+route steps of the T16 workload, \
-                 n = {n}, {packets_per_node} packets/node, {threads} threads \
-                 (sort/route/delivered/queue identical by construction)"
-            ),
-            header: [
-                "context",
-                "sort steps",
-                "route steps",
-                "delivered",
-                "max queue",
-                "wall s",
-                "steps/s",
-                "speedup",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-            rows,
-            notes: vec![format!(
-                "reusing one context across steps keeps the worker pool parked, the \
-                 engine allocations warm, and the columnsort route memo populated: \
-                 {speedup:.2}x the cold-start throughput (wall-clock columns vary run \
-                 to run; all others are deterministic)"
-            )],
         },
         json,
     )

@@ -1,7 +1,7 @@
 //! The `reproduce` binary rejects what it does not understand: an
 //! unknown or removed flag, a value-taking flag given no value, a
-//! malformed value and an unknown table id all exit with status 2
-//! before any table runs.
+//! malformed value and an unknown or retired table id (T18, T19) all
+//! exit with status 2 before any table runs.
 
 use std::process::Command;
 
@@ -13,6 +13,7 @@ fn bad_arguments_exit_2() {
         &["quick", "T2", "--threads", "0"],
         &["quick", "T2", "--sorter", "bitonic"],
         &["quick", "T99"],
+        &["quick", "T18"],
         &["quick", "T19"],
         &["--help"],
     ] {

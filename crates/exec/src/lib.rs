@@ -19,8 +19,9 @@
 //!   byte-identical for every thread count);
 //! - an [`EnginePool`] keyed by submesh shape, so repeated stages reuse
 //!   engines and their per-node queue buffers;
-//! - the columnsort [`RouteMemo`], moved off globals so concurrent
-//!   simulations neither contend nor cross-pollinate;
+//! - the columnsort [`RouteMemo`] for the route costs the committed
+//!   table lacks, moved off globals so concurrent simulations neither
+//!   contend nor cross-pollinate;
 //! - a [`CostLedger`] that decides analytic-vs-measured charging in one
 //!   place (the only caller of [`SortCost::charged`]).
 //!
@@ -176,7 +177,8 @@ impl ExecCtx {
         &mut self.engines
     }
 
-    /// The columnsort route memo.
+    /// The columnsort route memo: the shapes this context measured
+    /// because the committed route-cost table lacks them.
     pub fn route_memo(&self) -> &RouteMemo {
         &self.memo
     }
@@ -280,13 +282,16 @@ mod tests {
 
     #[test]
     fn sort_uses_context_resources() {
+        // 12×20 is not in the committed route-cost table, so the first
+        // sort measures its routes into the context's memo.
         let mut ctx = ExecCtx::new(1, Sorter::Columnsort, false);
-        let pairs = || (0..256u32).map(|p| (p, 255 - p as u64));
-        let s1 = ctx.sort_pairs(pairs(), 16, 16);
-        assert_eq!(s1.keys, (0..256u64).collect::<Vec<_>>());
-        assert!(!ctx.route_memo().is_empty(), "columnsort fills the memo");
-        let s2 = ctx.sort_pairs(pairs(), 16, 16);
+        let pairs = || (0..240u32).map(|p| (p, 239 - p as u64));
+        let s1 = ctx.sort_pairs(pairs(), 12, 20);
+        assert_eq!(s1.keys, (0..240u64).collect::<Vec<_>>());
+        assert_eq!(ctx.route_memo().len(), 1, "columnsort fills the memo");
+        let s2 = ctx.sort_pairs(pairs(), 12, 20);
         assert_eq!(s1.cost, s2.cost, "memoized repeat sorts charge identically");
+        assert_eq!(ctx.route_memo().len(), 1, "the repeat hits the memo");
     }
 
     #[test]

@@ -106,10 +106,12 @@ fn context_thread_count_does_not_change_results() {
 
 #[test]
 fn columnsort_route_engines_use_context_threads() {
-    // Columnsort measures its fixed permutation routes on engines from
-    // the context's pool; they must shard across the context's workers.
+    // Columnsort measures the fixed permutation routes its committed
+    // cost table lacks (12×20 is not in it) on engines from the
+    // context's pool; they must shard across the context's workers.
     let mut ctx = ExecCtx::new(3, Sorter::Columnsort, false);
-    ctx.sort_pairs((0..64u32).map(|p| (p, 63 - p)), 8, 8);
+    ctx.sort_pairs((0..240u32).map(|p| (p, 239 - p)), 12, 20);
+    assert_eq!(ctx.route_memo().len(), 1, "the routes were measured");
     assert_eq!(
         ctx.worker_pool().spawned(),
         3,
@@ -119,13 +121,15 @@ fn columnsort_route_engines_use_context_threads() {
 
 #[test]
 fn columnsort_costs_do_not_depend_on_context_threads() {
-    let input: Vec<(u32, u64)> = (0..64u32)
-        .flat_map(|p| [(p, (p as u64 * 37) % 64), (p, p as u64 / 3)])
+    // 12×20 is not in the committed route-cost table, so every context
+    // measures the routes on its own engines.
+    let input: Vec<(u32, u64)> = (0..240u32)
+        .flat_map(|p| [(p, (p as u64 * 37) % 240), (p, p as u64 / 3)])
         .collect();
-    let want = ExecCtx::new(1, Sorter::Columnsort, false).sort_pairs(input.clone(), 8, 8);
+    let want = ExecCtx::new(1, Sorter::Columnsort, false).sort_pairs(input.clone(), 12, 20);
     for threads in [2usize, 3] {
         let mut ctx = ExecCtx::new(threads, Sorter::Columnsort, false);
-        let got = ctx.sort_pairs(input.clone(), 8, 8);
+        let got = ctx.sort_pairs(input.clone(), 12, 20);
         assert_eq!(got, want, "threads = {threads}");
     }
 }

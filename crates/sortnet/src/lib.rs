@@ -26,7 +26,9 @@
 //!   [`shearsort::shearsort_flat`].
 //! - [`key`]: the sentinel-extended key the pair entry pads nodes with.
 //! - [`mod@columnsort`]: the step-simulated Leighton columnsort kernel
-//!   [`columnsort::columnsort_mesh`].
+//!   [`columnsort::columnsort_mesh`], and its route-cost lookup.
+//! - `route_costs.rs`: the generated table of columnsort's permutation
+//!   route costs per `(rows, cols, h)` (see [`mod@columnsort`]).
 //! - [`rank`]: segmented ranking over a [`Sorted`].
 //! - [`broadcast`]: segmented broadcast (prefix copy) over a [`Sorted`],
 //!   for request combining.
@@ -51,6 +53,7 @@ pub mod broadcast;
 pub mod columnsort;
 pub mod key;
 pub mod rank;
+mod route_costs;
 pub mod shearsort;
 pub mod snake;
 pub mod sorter;

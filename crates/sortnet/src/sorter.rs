@@ -124,8 +124,8 @@ impl Sorter {
     /// selected algorithm and returns its measured cost. `engines` and
     /// `memo` are caller-owned execution resources (normally an
     /// execution context's engine pool and columnsort route memo);
-    /// shearsort needs neither, columnsort uses them for its
-    /// permutation route measurements.
+    /// shearsort needs neither, columnsort uses them to measure the
+    /// permutation routes its committed cost table lacks.
     pub fn sort_with<K: Ord + Copy>(
         self,
         buf: &mut [K],
