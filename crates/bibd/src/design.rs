@@ -129,44 +129,42 @@ impl Bibd {
     /// The `q` outputs adjacent to input `v`: the points `a + x·b` for
     /// every `x ∈ F_q`, in order of `x`. Runs in `O(q·d)` field ops.
     pub fn neighbors(&self, v: u64) -> Vec<u64> {
-        let phi = self.decode_input(v);
-        self.neighbors_phi(phi)
+        let mut out = vec![0; self.q as usize];
+        self.neighbors_into(v, &mut out);
+        out
     }
 
-    /// [`Self::neighbors`] for a pre-decoded input.
-    pub fn neighbors_phi(&self, phi: Phi) -> Vec<u64> {
-        let q = self.q;
-        let d = self.d as usize;
-        let h = phi.h as usize;
-        // a-vector digits: A's digits with a 0 inserted at position h.
-        let mut a_dig = vec![0u64; d];
-        let mut av = phi.a;
-        for (j, slot) in a_dig.iter_mut().enumerate() {
-            if j == h {
-                continue;
-            }
-            *slot = av % q;
-            av /= q;
+    /// [`Self::neighbors`] written into `out` without allocating.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != q`.
+    pub fn neighbors_into(&self, v: u64, out: &mut [u64]) {
+        assert_eq!(out.len() as u64, self.q, "a line has q points");
+        let phi = self.decode_input(v);
+        for (x, u) in out.iter_mut().enumerate() {
+            *u = self.point(phi, x as u64);
         }
-        // b-vector digits: B's digits at positions < h, 1 at h, 0 above.
-        let mut b_dig = vec![0u64; d];
-        let mut bv = phi.b;
-        for slot in b_dig.iter_mut().take(h) {
-            *slot = bv % q;
-            bv /= q;
-        }
-        b_dig[h] = 1;
+    }
 
-        let mut out = Vec::with_capacity(q as usize);
-        for x in 0..q {
-            let mut enc = 0u64;
-            for j in (0..d).rev() {
-                let digit = self.gf.add(a_dig[j], self.gf.mul(x, b_dig[j]));
-                enc = enc * q + digit;
-            }
-            out.push(enc);
+    /// The point `a + x·b` of line `phi`, `x ∈ F_q` — the one place the
+    /// design evaluates a line. `b` has `B`'s digits below the pivot `h`,
+    /// a 1 at `h` and 0 above; `a` has `A`'s digits with a 0 inserted at
+    /// `h`. So the digits above the pivot are `A`'s, the pivot digit is
+    /// `x`, and only the `h` digits below it need field arithmetic.
+    /// O(h) field ops, no allocation.
+    pub fn point(&self, phi: Phi, x: u64) -> u64 {
+        debug_assert!(x < self.q);
+        let q = self.q;
+        let qh = q.pow(phi.h);
+        let mut enc = phi.a / qh * qh * q + x * qh;
+        let (mut a, mut b, mut place) = (phi.a, phi.b, 1u64);
+        for _ in 0..phi.h {
+            enc += self.gf.add(a % q, self.gf.mul(x, b % q)) * place;
+            a /= q;
+            b /= q;
+            place *= q;
         }
-        out
+        enc
     }
 
     /// The `x ∈ F_q` such that output `u` is the point `a + x·b` of line
@@ -175,7 +173,7 @@ impl Bibd {
     pub fn edge_parameter(&self, v: u64, u: u64) -> Option<u64> {
         let phi = self.decode_input(v);
         let x = self.digit(u, phi.h);
-        if self.neighbors_phi(phi)[x as usize] == u {
+        if self.point(phi, x) == u {
             Some(x)
         } else {
             None
@@ -346,6 +344,55 @@ mod tests {
         let nb = bibd.neighbors(0);
         let non = (0..bibd.num_outputs()).find(|u| !nb.contains(u)).unwrap();
         assert_eq!(bibd.edge_parameter(0, non), None);
+    }
+
+    /// The digit-vector evaluation of a line (`a + x·b` coordinate by
+    /// coordinate), the textbook form [`Bibd::point`] shortcuts.
+    fn point_by_digit_vectors(bibd: &Bibd, phi: Phi, x: u64) -> u64 {
+        let (q, d, h) = (bibd.q(), bibd.d() as usize, phi.h as usize);
+        let (mut a_dig, mut b_dig) = (vec![0u64; d], vec![0u64; d]);
+        let mut av = phi.a;
+        for (_, slot) in a_dig.iter_mut().enumerate().filter(|&(j, _)| j != h) {
+            *slot = av % q;
+            av /= q;
+        }
+        let mut bv = phi.b;
+        for slot in b_dig.iter_mut().take(h) {
+            *slot = bv % q;
+            bv /= q;
+        }
+        b_dig[h] = 1;
+        let gf = bibd.field();
+        (0..d)
+            .rev()
+            .fold(0, |enc, j| enc * q + gf.add(a_dig[j], gf.mul(x, b_dig[j])))
+    }
+
+    #[test]
+    fn point_matches_digit_vector_evaluation() {
+        for &(q, d) in &[
+            (2u64, 3u32),
+            (3, 2),
+            (3, 3),
+            (3, 5),
+            (4, 3),
+            (5, 2),
+            (7, 2),
+            (8, 2),
+            (9, 2),
+        ] {
+            let bibd = Bibd::new(q, d).unwrap();
+            let mut into = vec![0; q as usize];
+            for v in 0..bibd.num_inputs() {
+                let phi = bibd.decode_input(v);
+                bibd.neighbors_into(v, &mut into);
+                for x in 0..q {
+                    let want = point_by_digit_vectors(&bibd, phi, x);
+                    assert_eq!(bibd.point(phi, x), want, "({q},{d}) input {v}, x = {x}");
+                    assert_eq!(into[x as usize], want);
+                }
+            }
+        }
     }
 
     #[test]

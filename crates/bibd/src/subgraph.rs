@@ -96,6 +96,13 @@ impl BibdSubgraph {
         self.bibd.neighbors(v)
     }
 
+    /// [`Self::neighbors`] written into `out` (`out.len() == q`) without
+    /// allocating.
+    pub fn neighbors_into(&self, v: u64, out: &mut [u64]) {
+        debug_assert!(self.contains_input(v));
+        self.bibd.neighbors_into(v, out);
+    }
+
     /// Theoretical lower/upper output-degree bounds of Theorem 5:
     /// `(⌊qm/q^d⌋, ⌈qm/q^d⌉)`.
     pub fn degree_bounds(&self) -> (u64, u64) {
@@ -131,9 +138,15 @@ impl BibdSubgraph {
     /// paper's space-efficient memory map.
     pub fn rank_of_input(&self, v: u64) -> u64 {
         debug_assert!(self.contains_input(v));
+        self.rank_of_line(self.bibd.decode_input(v))
+    }
+
+    /// [`Self::rank_of_input`] for an input already decoded with
+    /// [`Bibd::decode_input`].
+    #[inline]
+    pub fn rank_of_line(&self, phi: Phi) -> u64 {
         let q = self.q();
-        let Phi { h, b, .. } = self.bibd.decode_input(v);
-        (q.pow(h) - 1) / (q - 1) + b
+        (q.pow(phi.h) - 1) / (q - 1) + phi.b
     }
 
     /// All selected inputs adjacent to output `u`, in increasing input
@@ -184,9 +197,12 @@ mod tests {
                 "enumeration disagrees with closed form"
             );
             // Sorted, selected, adjacent, and ranks match positions.
+            let mut into = vec![0; q as usize];
             for (pos, &v) in ins.iter().enumerate() {
                 assert!(sg.contains_input(v));
                 assert!(sg.neighbors(v).contains(&u));
+                sg.neighbors_into(v, &mut into);
+                assert_eq!(into, sg.neighbors(v));
                 assert_eq!(
                     sg.rank_of_input(v),
                     pos as u64,

@@ -16,7 +16,7 @@
 //! time is a *measured* quantity with the Eq. (2) shape `O(k·q^k·√n)`.
 
 use prasim_exec::ExecCtx;
-use prasim_hmos::{CopyAddr, Hmos, TargetSpec};
+use prasim_hmos::{CopyCell, Hmos, Instances, TargetSpec};
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::problem::SplitMix64;
 use prasim_sortnet::rank::rank_sorted;
@@ -25,14 +25,41 @@ use prasim_sortnet::snake::snake_pos;
 /// A culled copy with its resolved physical address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectedCopy {
-    /// Leaf index of the copy in `T_v` (see [`CopyAddr::leaf_index`]).
+    /// Leaf index of the copy in `T_v` (see
+    /// [`prasim_hmos::CopyAddr::leaf_index`]).
     pub leaf: u64,
     /// Mesh node storing the copy.
     pub node: u32,
     /// Slot within the node.
     pub slot: u64,
     /// Page-instance index at each level `1..=k`.
-    pub instances: Vec<u32>,
+    pub instances: Instances,
+}
+
+impl SelectedCopy {
+    fn new(leaf: u64, cell: &CopyCell, shape: MeshShape) -> Self {
+        SelectedCopy {
+            leaf,
+            node: shape.index(cell.node),
+            slot: cell.slot,
+            instances: cell.instances,
+        }
+    }
+}
+
+/// The cells of every requested variable's copies, resolved once:
+/// processor `p`'s leaf `j` sits at `p·q^k + j` (idle processors' cells
+/// are left at the default and never read).
+fn resolve_requests(hmos: &Hmos, requests: &[Option<u64>]) -> Vec<CopyCell> {
+    let qk = hmos.params().redundancy() as usize;
+    let mut cells = Vec::with_capacity(requests.len() * qk);
+    for req in requests {
+        match *req {
+            Some(v) => hmos.resolve_all(v, &mut cells),
+            None => cells.resize(cells.len() + qk, CopyCell::default()),
+        }
+    }
+    cells
 }
 
 /// Per-iteration culling statistics.
@@ -91,26 +118,21 @@ pub struct CullingOutcome {
 /// to make), so the charged cost is only the `O(q^k)` local enumeration;
 /// the routing phases then carry the full `q^k`-fold load.
 pub fn select_all(hmos: &Hmos, requests: &[Option<u64>]) -> CullingOutcome {
-    let params = hmos.params();
-    let (q, k) = (params.q, params.k);
-    let qk = params.redundancy();
+    let qk = hmos.params().redundancy();
     let shape: MeshShape = hmos.shape();
+    let mut cells = Vec::with_capacity(qk as usize);
     let selected = requests
         .iter()
-        .map(|req| match req {
+        .map(|req| match *req {
             None => Vec::new(),
-            Some(v) => (0..qk)
-                .map(|leaf| {
-                    let addr = CopyAddr::from_leaf_index(*v, q, k, leaf);
-                    let rc = hmos.resolve(&addr);
-                    SelectedCopy {
-                        leaf,
-                        node: shape.index(rc.node),
-                        slot: rc.slot,
-                        instances: rc.instances,
-                    }
-                })
-                .collect(),
+            Some(v) => {
+                cells.clear();
+                hmos.resolve_all(v, &mut cells);
+                (0..qk)
+                    .zip(&cells)
+                    .map(|(leaf, cell)| SelectedCopy::new(leaf, cell, shape))
+                    .collect()
+            }
         })
         .collect();
     CullingOutcome {
@@ -140,24 +162,8 @@ pub fn cull_with(
     let spec = TargetSpec { q, k };
     let shape: MeshShape = hmos.shape();
 
-    // Resolve every copy of every requested variable once.
-    // resolved[p][leaf] = (node, slot, instances).
-    let mut resolved: Vec<Vec<(u32, u64, Vec<u32>)>> = Vec::with_capacity(requests.len());
-    for (p, req) in requests.iter().enumerate() {
-        let _ = p;
-        match req {
-            None => resolved.push(Vec::new()),
-            Some(v) => {
-                let mut per = Vec::with_capacity(qk as usize);
-                for leaf in 0..qk {
-                    let addr = CopyAddr::from_leaf_index(*v, q, k, leaf);
-                    let rc = hmos.resolve(&addr);
-                    per.push((shape.index(rc.node), rc.slot, rc.instances));
-                }
-                resolved.push(per);
-            }
-        }
-    }
+    let cells = resolve_requests(hmos, requests);
+    let cell = |p: usize, leaf: u64| &cells[p * qk as usize + leaf as usize];
 
     // Current selections C_v^i as leaf lists. C^0: minimal level-0 target
     // set with a per-variable pseudo-random preference so initial choices
@@ -189,9 +195,8 @@ pub fn cull_with(
         let sorted = ctx.sort_pairs(
             current.iter().enumerate().flat_map(|(p, leaves)| {
                 let pos = snake_pos(shape, p as u32);
-                let res = &resolved[p];
                 leaves.iter().map(move |&leaf| {
-                    let page = res[leaf as usize].2[i as usize - 1];
+                    let page = cell(p, leaf).instances[i as usize - 1];
                     (pos, (page, p as u32, leaf as u16))
                 })
             }),
@@ -248,7 +253,7 @@ pub fn cull_with(
         let mut loads = std::collections::HashMap::new();
         for (p, leaves) in current.iter().enumerate() {
             for &leaf in leaves {
-                let page = resolved[p][leaf as usize].2[i as usize - 1];
+                let page = cell(p, leaf).instances[i as usize - 1];
                 *loads.entry(page).or_insert(0u64) += 1;
             }
         }
@@ -274,15 +279,7 @@ pub fn cull_with(
         .map(|(p, leaves)| {
             leaves
                 .iter()
-                .map(|&leaf| {
-                    let (node, slot, ref instances) = resolved[p][leaf as usize];
-                    SelectedCopy {
-                        leaf,
-                        node,
-                        slot,
-                        instances: instances.clone(),
-                    }
-                })
+                .map(|&leaf| SelectedCopy::new(leaf, cell(p, leaf), shape))
                 .collect()
         })
         .collect();

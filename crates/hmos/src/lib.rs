@@ -33,6 +33,6 @@ pub mod params;
 pub mod scheme;
 pub mod target;
 
-pub use params::{HmosError, HmosParams};
-pub use scheme::{CopyAddr, Hmos, PageInstance, ResolvedCopy};
+pub use params::{HmosError, HmosParams, MAX_LEVELS};
+pub use scheme::{CopyAddr, CopyCell, Hmos, Instances, PageInstance, ResolvedCopy};
 pub use target::{CopyReport, QuorumRead, TargetSpec};

@@ -16,13 +16,19 @@
 
 use prasim_gf::prime_power;
 
+/// The most replication levels a scheme may have. A copy's page path
+/// (one page instance per level) is stored inline, in
+/// [`crate::scheme::Instances`], so resolving copies never allocates.
+pub const MAX_LEVELS: u32 = 8;
+
 /// Errors from parameter derivation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HmosError {
     /// `q` must be a prime power ≥ 3 (the hierarchical majority rule
     /// needs `⌊q/2⌋ + 2 ≤ q`).
     BadQ(u64),
-    /// `k` must be at least 1.
+    /// `k` must be in `1..=`[`MAX_LEVELS`], and the `q^k` copies of a
+    /// variable must be countable in a `u64`.
     BadK(u32),
     /// `d` must be at least 1.
     BadD(u32),
@@ -46,7 +52,10 @@ impl std::fmt::Display for HmosError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HmosError::BadQ(q) => write!(f, "q = {q} must be a prime power ≥ 3"),
-            HmosError::BadK(k) => write!(f, "k = {k} must be ≥ 1"),
+            HmosError::BadK(k) => write!(
+                f,
+                "k = {k} must be in 1..={MAX_LEVELS}, with q^k copies per variable fitting in u64"
+            ),
             HmosError::BadD(d) => write!(f, "d = {d} must be ≥ 1"),
             HmosError::NotSquare(n) => write!(f, "mesh size {n} is not a perfect square"),
             HmosError::MemoryTooLarge(m) => write!(f, "memory size {m} overflows the construction"),
@@ -103,7 +112,7 @@ impl HmosParams {
     /// Derives parameters for an explicit `d_1 = d` (memory `f(d)`).
     pub fn with_d(q: u64, k: u32, n: u64, d1: u32) -> Result<Self, HmosError> {
         check_q(q)?;
-        if k < 1 {
+        if !(1..=MAX_LEVELS).contains(&k) || q.checked_pow(k).is_none() {
             return Err(HmosError::BadK(k));
         }
         if d1 < 1 {
@@ -130,8 +139,9 @@ impl HmosParams {
             // when crowded (see `prasim-hmos::scheme` and
             // [`HmosParams::crowded_levels`]), matching the graceful
             // degradation of a real machine when `t_i < 1`.
-            let pages = mi
-                .checked_mul(q.pow(k - i))
+            let pages = q
+                .checked_pow(k - i)
+                .and_then(|pages_per_module| mi.checked_mul(pages_per_module))
                 .ok_or(HmosError::MemoryTooLarge(num_variables))?;
             if i == k && pages > n {
                 return Err(HmosError::LevelTooCrowded {
@@ -253,6 +263,28 @@ mod tests {
         ));
         assert!(HmosParams::with_d(4, 2, 1024, 4).is_ok());
         assert!(HmosParams::with_d(5, 1, 1024, 3).is_ok());
+    }
+
+    #[test]
+    fn rejects_bad_k_with_a_typed_error() {
+        assert_eq!(HmosParams::with_d(3, 0, 1024, 4), Err(HmosError::BadK(0)));
+        assert_eq!(
+            HmosParams::with_d(3, MAX_LEVELS + 1, 1024, 4),
+            Err(HmosError::BadK(MAX_LEVELS + 1))
+        );
+        assert_eq!(
+            HmosParams::with_d(3, u32::MAX, 1024, 4),
+            Err(HmosError::BadK(u32::MAX))
+        );
+        // q^k overflows u64: 65536^8 = 2^128.
+        assert_eq!(
+            HmosParams::with_d(65536, MAX_LEVELS, 1 << 40, 1),
+            Err(HmosError::BadK(MAX_LEVELS))
+        );
+        // Large q at a legal k: the per-level page counts overflow into
+        // a typed error, not a panic.
+        assert!(HmosParams::with_d(65536, 4, 1 << 40, 1).is_err());
+        assert!(HmosParams::with_d(3, MAX_LEVELS, 1 << 20, 1).is_ok());
     }
 
     #[test]

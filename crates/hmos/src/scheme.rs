@@ -6,9 +6,13 @@
 //! level-`(i+1)` page), each with its submesh rectangle from the nested
 //! tessellations. Copies of variables themselves are **not**
 //! materialized — there are `q^k·n^α` of them; a copy's physical address
-//! is computed on demand from the BIBD closed forms.
+//! is computed on demand from the BIBD closed forms: one copy with
+//! [`Hmos::resolve`], all `q^k` copies of a variable with
+//! [`Hmos::resolve_all`].
 
-use crate::params::{HmosError, HmosParams};
+use std::ops::Deref;
+
+use crate::params::{HmosError, HmosParams, MAX_LEVELS};
 use prasim_bibd::BibdSubgraph;
 use prasim_mesh::region::{Rect, Tessellation};
 use prasim_mesh::topology::{Coord, MeshShape};
@@ -45,6 +49,37 @@ impl CopyAddr {
     }
 }
 
+/// Page-instance indices at levels `1..=k`, stored inline (`k ≤`
+/// [`MAX_LEVELS`]); derefs to the `k`-long slice, whose entry `i-1`
+/// indexes [`Hmos::pages`]`(i)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Instances {
+    len: u8,
+    ids: [u32; MAX_LEVELS as usize],
+}
+
+impl Deref for Instances {
+    type Target = [u32];
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+/// A copy's physical cell and page path — what [`Hmos::resolve_all`]
+/// writes for each leaf of `T_v`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CopyCell {
+    /// The mesh node storing the copy.
+    pub node: Coord,
+    /// The memory slot within that node. Together with the node this
+    /// uniquely identifies the copy cell: distinct copies of distinct
+    /// variables never collide.
+    pub slot: u64,
+    /// The page instance holding the copy at each level `1..=k`.
+    pub instances: Instances,
+}
+
 /// A fully resolved copy: module path, page instances and physical
 /// address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,12 +90,10 @@ pub struct ResolvedCopy {
     pub modules: Vec<u64>,
     /// Page-instance indices at levels `1..=k` (`instances[i-1]` indexes
     /// [`Hmos::pages`]` (i)`).
-    pub instances: Vec<u32>,
+    pub instances: Instances,
     /// The mesh node storing the copy.
     pub node: Coord,
-    /// The memory slot within that node. Together with the node this
-    /// uniquely identifies the copy cell: distinct copies of distinct
-    /// variables never collide.
+    /// The memory slot within that node (see [`CopyCell::slot`]).
     pub slot: u64,
 }
 
@@ -93,6 +126,9 @@ impl Hmos {
     /// Builds the full scheme: BIBD subgraphs per level and the nested
     /// tessellations of the page tree.
     pub fn new(params: HmosParams) -> Result<Self, HmosError> {
+        if !(1..=MAX_LEVELS).contains(&params.k) {
+            return Err(HmosError::BadK(params.k));
+        }
         let shape = MeshShape::square_of(params.n).ok_or(HmosError::NotSquare(params.n))?;
         let k = params.k as usize;
         let mut graphs = Vec::with_capacity(k);
@@ -199,44 +235,111 @@ impl Hmos {
     }
 
     /// Resolves a copy address to its module path, page instances, and
-    /// physical `(node, slot)` cell. O(k·d) — the constant-storage memory
-    /// map of the paper.
+    /// physical `(node, slot)` cell. O(k·q·d) — the constant-storage
+    /// memory map of the paper. To resolve every copy of a variable, use
+    /// [`Hmos::resolve_all`], which shares the tree's prefixes.
     pub fn resolve(&self, addr: &CopyAddr) -> ResolvedCopy {
         let k = self.params.k as usize;
         debug_assert_eq!(addr.choices.len(), k);
         debug_assert!(addr.variable < self.num_variables());
-        // Module path bottom-up.
+        // Module path bottom-up, with each module's rank among the
+        // inputs of its parent (`ranks[0]`: the variable's).
+        let mut line = vec![0; self.params.q as usize];
         let mut modules = Vec::with_capacity(k);
+        let mut ranks = [0u64; MAX_LEVELS as usize];
         let mut cur = addr.variable;
         for (j, &choice) in addr.choices.iter().enumerate() {
-            cur = self.graphs[j].neighbors(cur)[choice as usize];
+            ranks[j] = self.graphs[j].rank_of_input(cur);
+            self.graphs[j].neighbors_into(cur, &mut line);
+            cur = line[choice as usize];
             modules.push(cur);
         }
+        let cell = self.cell(cur, &ranks[..k]);
+        ResolvedCopy {
+            addr: addr.clone(),
+            modules,
+            instances: cell.instances,
+            node: cell.node,
+            slot: cell.slot,
+        }
+    }
+
+    /// Appends the cells of all `q^k` copies of `variable` to `out`, in
+    /// leaf order: the cell of leaf `j` (see [`CopyAddr::leaf_index`])
+    /// lands at `out[len + j]`, where `len` is `out.len()` on entry.
+    /// Equal, leaf for leaf, to [`Hmos::resolve`] on
+    /// [`Hmos::copies_of`], but it walks `T_v` top-down once: one BIBD
+    /// line decode per inner node and one point per edge (`q + q²` for
+    /// `k = 2`, not `k·q^k`), and the variable's rank is computed once.
+    /// Allocates nothing once `out` has the capacity.
+    pub fn resolve_all(&self, variable: u64, out: &mut Vec<CopyCell>) {
+        debug_assert!(variable < self.num_variables());
+        let base = out.len();
+        out.resize(
+            base + self.params.redundancy() as usize,
+            CopyCell::default(),
+        );
+        let mut ranks = [0u64; MAX_LEVELS as usize];
+        self.walk(0, variable, 0, 1, &mut ranks, &mut out[base..]);
+    }
+
+    /// [`Hmos::resolve_all`]'s walk below `module`, the level-`level`
+    /// module of the path (`level = 0`: the variable). `prefix` encodes
+    /// the choices above it, and its children's leaves step by `stride`
+    /// (`q^level`). `ranks[j]` holds the rank of the path's level-`j`
+    /// module among its parent's inputs.
+    fn walk(
+        &self,
+        level: usize,
+        module: u64,
+        prefix: usize,
+        stride: usize,
+        ranks: &mut [u64; MAX_LEVELS as usize],
+        out: &mut [CopyCell],
+    ) {
+        let k = self.params.k as usize;
+        let graph = &self.graphs[level];
+        let line = graph.design().decode_input(module);
+        ranks[level] = graph.rank_of_line(line);
+        for x in 0..self.params.q {
+            let child = graph.design().point(line, x);
+            let leaf = prefix + x as usize * stride;
+            if level + 1 == k {
+                out[leaf] = self.cell(child, &ranks[..k]);
+            } else {
+                let next = stride * self.params.q as usize;
+                self.walk(level + 1, child, leaf, next, ranks, out);
+            }
+        }
+    }
+
+    /// The cell of the copy whose level-`k` module is `top` and whose
+    /// path's level-`j` module has rank `ranks[j]` among its parent's
+    /// inputs.
+    fn cell(&self, top: u64, ranks: &[u64]) -> CopyCell {
+        let k = ranks.len();
+        let mut instances = Instances {
+            len: k as u8,
+            ids: [0; MAX_LEVELS as usize],
+        };
         // Page instances top-down.
-        let mut instances = vec![0u32; k];
-        let mut inst = modules[k - 1] as u32; // level-k instance == module
-        instances[k - 1] = inst;
+        let mut inst = top as u32; // level-k instance == module
+        instances.ids[k - 1] = inst;
         for lvl in (1..k).rev() {
-            // child l_lvl sits at rank `rank_of_input(l_lvl)` inside its
-            // parent page (graphs[lvl]: U_lvl -> U_{lvl+1}).
-            let rank = self.graphs[lvl].rank_of_input(modules[lvl - 1]);
-            inst = self.levels[lvl][inst as usize].children[rank as usize];
-            instances[lvl - 1] = inst;
+            // child l_lvl sits at rank `ranks[lvl]` inside its parent
+            // page (graphs[lvl]: U_lvl -> U_{lvl+1}).
+            inst = self.levels[lvl][inst as usize].children[ranks[lvl] as usize];
+            instances.ids[lvl - 1] = inst;
         }
         // Physical cell inside the level-1 page. The slot is namespaced
         // by the page instance so that pages sharing nodes (crowded
         // tessellations) can never collide in storage.
         let rect = self.levels[0][inst as usize].rect;
         let t = rect.area();
-        let r1 = self.graphs[0].rank_of_input(addr.variable);
-        let node = rect.coord_at((r1 % t) as u32);
-        let slot = ((inst as u64) << 24) | (r1 / t);
-        ResolvedCopy {
-            addr: addr.clone(),
-            modules,
+        CopyCell {
+            node: rect.coord_at((ranks[0] % t) as u32),
+            slot: ((inst as u64) << 24) | (ranks[0] / t),
             instances,
-            node,
-            slot,
         }
     }
 

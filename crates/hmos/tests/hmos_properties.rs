@@ -93,3 +93,38 @@ proptest! {
         prop_assert!(a.iter().any(|l| b.contains(l)), "disjoint target sets: {:?} {:?}", a, b);
     }
 }
+
+/// The top-down walk of [`Hmos::resolve_all`] writes, leaf for leaf,
+/// what [`Hmos::resolve`] computes one copy at a time, and appends after
+/// whatever the buffer already holds.
+#[test]
+fn resolve_all_matches_resolve_leaf_by_leaf() {
+    for q in [3u64, 4, 5, 7] {
+        for k in 1u32..=3 {
+            let hmos = Hmos::new(HmosParams::with_d(q, k, 4096, 3).unwrap()).unwrap();
+            let qk = q.pow(k) as usize;
+            let vars = hmos.num_variables();
+            let mut out = Vec::new();
+            for v in (0..vars)
+                .step_by((vars / 61).max(1) as usize)
+                .chain([vars - 1])
+            {
+                out.clear();
+                hmos.resolve_all(v, &mut out);
+                hmos.resolve_all(v, &mut out);
+                assert_eq!(out.len(), 2 * qk);
+                for leaf in 0..qk {
+                    let rc = hmos.resolve(&CopyAddr::from_leaf_index(v, q, k, leaf as u64));
+                    let cell = out[leaf];
+                    assert_eq!(
+                        (cell.node, cell.slot, cell.instances),
+                        (rc.node, rc.slot, rc.instances),
+                        "q = {q}, k = {k}, variable {v}, leaf {leaf}"
+                    );
+                    assert_eq!(cell.instances.len(), k as usize);
+                    assert_eq!(out[qk + leaf], cell);
+                }
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! Mesh coordinates, node indices and neighborhoods.
 
 /// A position on the mesh: row `r`, column `c`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Row (0 at the top).
     pub r: u32,

@@ -1,15 +1,18 @@
-//! The sentinel-extended key of the sort layer.
+//! The sentinel-extended key of the kernel-level sort interface.
 //!
-//! [`crate::Sorter::sort_pairs`] pads every node to exactly `h` slots
-//! before a kernel runs. [`Key`] gives the padding an order:
-//! `NegInf < Val(x) < PosInf`, so `PosInf` padding sorts after every real
-//! key and drops off the tail of the sorted buffer.
+//! The pair entry [`crate::Sorter::sort_pairs`] hands the kernels 4-byte
+//! ranks padded with `u32::MAX` (see [`mod@crate::sorter`]). [`Key`]
+//! serves the callers that pad a buffer of real keys themselves — the
+//! hidden per-node `ExecCtx::sort` adapter and the tests that pin the
+//! rank path against a kernel run on the keys. It gives the padding an
+//! order, `NegInf < Val(x) < PosInf`, so `PosInf` padding sorts after
+//! every real key and drops off the tail of the sorted buffer.
 
 /// Sentinel-extended key: `NegInf < Val(x) < PosInf`.
 // No caller pads with `NegInf`. The variant stays for speed: with only
 // two variants the derived order compiles to a slower comparison, and
-// `sort_unstable` on `Key<(u32, u32)>` (the protocol's stage sort) took
-// about 1.5x as long (rustc 1.95, x86-64).
+// `sort_unstable` on `Key<(u32, u32)>` took about 1.5x as long (rustc
+// 1.95, x86-64). Only the adapter's and the tests' sorts run on `Key`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Key<T> {
     /// Sorts before every real key.

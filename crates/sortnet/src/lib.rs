@@ -17,14 +17,17 @@
 //! sorted order, the `h = max(1, most keys on one node)` the sorter read
 //! off the input, and the [`SortCost`]. Sorted key `j` sits on snake
 //! position `j / h`. Below that entry both kernels sort one padded,
-//! snake-ordered buffer of `h` slots per node in place.
+//! snake-ordered buffer of `h` slots per node in place; the entry fills
+//! it with the keys' 4-byte ranks, which charges exactly what the keys
+//! would (see [`mod@sorter`]).
 //!
 //! - [`snake`]: snake-order indexing of a rectangular region.
 //! - [`mod@sorter`]: the pair contract ([`Sorter::sort_pairs`],
 //!   [`Sorted`]) and the kernel dispatch (default: columnsort).
 //! - [`mod@shearsort`]: the merge-split shearsort kernel
 //!   [`shearsort::shearsort_flat`].
-//! - [`key`]: the sentinel-extended key the pair entry pads nodes with.
+//! - [`key`]: the sentinel-extended key for callers that pad a buffer of
+//!   real keys themselves.
 //! - [`mod@columnsort`]: the step-simulated Leighton columnsort kernel
 //!   [`columnsort::columnsort_mesh`], and its route-cost lookup.
 //! - `route_costs.rs`: the generated table of columnsort's permutation

@@ -11,6 +11,15 @@
 //! snake position `j / h`, which is where [`crate::rank`] and
 //! [`crate::broadcast`] pick it up.
 //!
+//! The kernel runs on 4-byte *ranks*, not on the keys: the pair entry
+//! sorts the keys once with the standard library, replaces each key by
+//! the number of strictly smaller keys (equal keys, equal ranks) and
+//! pads with `u32::MAX`. That is exact. A kernel's output is the sorted
+//! multiset, and its charged cost depends only on how slots compare —
+//! shearsort's data-dependent phase count and columnsort's block sorts
+//! included — which ranks preserve, ties and padding too. DESIGN.md §4
+//! states the argument.
+//!
 //! Two step-simulated sorters are available:
 //!
 //! - [`Sorter::Shearsort`] — merge-split shearsort,
@@ -28,7 +37,6 @@
 use prasim_mesh::pool::EnginePool;
 
 use crate::columnsort::{columnsort_mesh, RouteMemo};
-use crate::key::Key;
 use crate::shearsort::{shearsort_flat, SortCost};
 
 /// Selects the step-simulated sorting algorithm used by the simulation.
@@ -84,8 +92,14 @@ impl Sorter {
     /// `h` slots and sorts the padded buffer with [`Sorter::sort_with`].
     /// Empty input still pays for a sort at `h = 1`.
     ///
+    /// The keys themselves are sorted once, with the standard library;
+    /// the kernel sorts their ranks (the module docs explain why that
+    /// charges exactly what sorting the keys would).
+    ///
     /// # Panics
-    /// Panics if a position is outside the submesh.
+    /// Panics if a position is outside the submesh, if the padded buffer
+    /// has `u32::MAX` slots or more, or if the kernel returns the ranks
+    /// unsorted.
     pub fn sort_pairs<T: Ord + Copy>(
         self,
         pairs: impl IntoIterator<Item = (u32, T)>,
@@ -96,22 +110,38 @@ impl Sorter {
     ) -> Sorted<T> {
         let nodes = rows as usize * cols as usize;
         let mut fill = vec![0usize; nodes];
-        let pairs: Vec<(u32, T)> = pairs
+        let mut keyed: Vec<(T, u32)> = pairs
             .into_iter()
-            .inspect(|&(pos, _)| fill[pos as usize] += 1)
+            .map(|(pos, key)| {
+                fill[pos as usize] += 1;
+                (key, pos)
+            })
             .collect();
         let h = fill.iter().copied().max().unwrap_or(0).max(1);
-        let mut buf = vec![Key::PosInf; nodes * h];
+        assert!(
+            nodes * h < u32::MAX as usize,
+            "a {rows}×{cols} sort at h = {h} has too many slots for u32 ranks"
+        );
         // Each node fills its first `fill` slots (in reverse input order:
         // both kernels sort every node before anything else).
-        for (pos, key) in pairs {
-            let p = pos as usize;
+        for (_, at) in &mut keyed {
+            let p = *at as usize;
             fill[p] -= 1;
-            buf[p * h + fill[p]] = Key::Val(key);
+            *at = (p * h + fill[p]) as u32;
+        }
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        let mut buf = vec![u32::MAX; nodes * h];
+        let mut rank = 0;
+        for (j, &(key, at)) in keyed.iter().enumerate() {
+            if j > 0 && keyed[j - 1].0 != key {
+                rank = j as u32;
+            }
+            buf[at as usize] = rank;
         }
         let cost = self.sort_with(&mut buf, rows, cols, h, engines, memo);
+        assert!(buf.is_sorted(), "the {self} kernel left its ranks unsorted");
         Sorted {
-            keys: buf.iter().map_while(|k| k.val()).collect(),
+            keys: keyed.into_iter().map(|(key, _)| key).collect(),
             h,
             rows,
             cols,

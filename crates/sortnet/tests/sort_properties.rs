@@ -89,27 +89,54 @@ mod sorter_agreement {
     use prasim_sortnet::{columnsort_mesh, rank_sorted, shearsort_flat, RouteMemo, Sorter};
     use proptest::prelude::*;
 
+    /// SplitMix64 finalizer: the seeded fills of the block-plan meshes.
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     proptest! {
         /// Both sorters take `(node, key)` pairs on random shapes —
-        /// empty input, uneven fill and every key on one node included —
-        /// and return the standard library's sorted keys at
-        /// `h = max(1, largest fill)`, charging what their kernel charges
-        /// on the node buffers padded at that `h`. Empty input still pays
-        /// for a sort at `h = 1`; rank and broadcast charge from the
-        /// largest fill after the sort, so nothing on empty input.
+        /// empty input, uneven fill, every key on one node and
+        /// duplicate-heavy keys included — and return the standard
+        /// library's sorted keys at `h = max(1, largest fill)`, charging
+        /// exactly what their kernel charges on the `Key<u32>` node
+        /// buffers padded at that `h`: the pair entry's rank buffer is a
+        /// pure speed substitution. Half the cases use 8×8 to 16×16
+        /// meshes at `h ≤ 9`, where columnsort runs its block plan (and
+        /// its route costs), not only the snake fallback of small
+        /// meshes. Empty input still pays for a sort at `h = 1`; rank
+        /// and broadcast charge from the largest fill after the sort, so
+        /// nothing on empty input.
         #[test]
         fn sorters_agree_on_random_multisets(
-            rows in 1u32..10,
-            cols in 1u32..10,
-            layout in 0u8..3,
+            block_plan in any::<bool>(),
+            rows in 0u32..9,
+            cols in 0u32..9,
+            layout in 0u8..4,
+            distinct in prop::sample::select(&[1u32, 2, 3, 17, u32::MAX]),
+            h_max in 1u64..10,
+            seed in any::<u64>(),
             data in prop::collection::vec((any::<u32>(), any::<u32>()), 0..250),
         ) {
+            let base = if block_plan { 8 } else { 1 };
+            let (rows, cols) = (rows + base, cols + base);
             let n = rows * cols;
-            let pairs: Vec<(u32, u32)> = match layout {
+            let mut pairs: Vec<(u32, u32)> = match layout {
                 0 => Vec::new(),
                 1 => data.iter().map(|&(node, key)| (node % n, key)).collect(),
-                _ => data.iter().map(|&(_, key)| (data.len() as u32 % n, key)).collect(),
+                2 => data.iter().map(|&(_, key)| (data.len() as u32 % n, key)).collect(),
+                _ => (0..n)
+                    .flat_map(|node| {
+                        let fill = mix(seed ^ u64::from(node)) % (h_max + 1);
+                        (0..fill).map(move |i| (node, mix(seed ^ (u64::from(node) << 8 | i)) as u32))
+                    })
+                    .collect(),
             };
+            for (_, key) in &mut pairs {
+                *key %= distinct;
+            }
             let mut fill = vec![0usize; n as usize];
             for &(p, _) in &pairs {
                 fill[p as usize] += 1;
@@ -130,8 +157,14 @@ mod sorter_agreement {
                 let mut buf = pad(&pairs, n as usize, h);
                 let kernel = sorter.sort_with(&mut buf, rows, cols, h, &mut engines, &mut memo);
                 prop_assert_eq!(sorted.cost, kernel);
+                let kernel_keys: Vec<u32> = buf.iter().map_while(|k| k.val()).collect();
+                prop_assert_eq!(&sorted.keys, &kernel_keys);
                 prop_assert_eq!(sorted.cost.analytic_steps, h as u64 * (rows + cols) as u64);
                 prop_assert!(sorted.cost.steps > 0, "every sort is charged");
+                if sorter == Sorter::Columnsort && block_plan && (rows % 2 == 0 || cols % 2 == 0) {
+                    // An even side admits at least the two-column plan.
+                    prop_assert_eq!(sorted.cost.phases, 8, "columnsort fell back on {}×{}", rows, cols);
+                }
 
                 let (ranks, rank_cost) = rank_sorted(&sorted, |&k| k);
                 prop_assert_eq!(ranks.len(), expect.len());

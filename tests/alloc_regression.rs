@@ -1,4 +1,5 @@
-//! Zero steady-state allocation: the arena engine's headline guarantee.
+//! Zero steady-state allocation: the arena engine's headline guarantee,
+//! and CULLING's copy resolution.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and
 //! tallies every `alloc`/`realloc`/`alloc_zeroed` call in the process.
@@ -11,7 +12,9 @@
 //! That is the whole point of the flat
 //! struct-of-arrays layout; any regression (a stray `clone`, a
 //! `Vec::new` in the step loop, a drain that reallocates) fails here
-//! with an exact allocation count.
+//! with an exact allocation count. The same holds for
+//! `Hmos::resolve_all`, which CULLING calls for every request of every
+//! step: once its output buffer has the capacity, it allocates nothing.
 //!
 //! Parallel runs are allowed a small *per-run* setup cost (the
 //! band-state parking slots and trace partitions are built per run
@@ -26,6 +29,7 @@
 //! whole body: otherwise one test's measurement window would count the
 //! other test's allocations.
 
+use prasim_hmos::{Hmos, HmosParams};
 use prasim_mesh::engine::{Engine, Packet};
 use prasim_mesh::fault::FaultMask;
 use prasim_mesh::region::Rect;
@@ -249,5 +253,31 @@ fn parallel_run_allocations_are_step_count_independent() {
     assert!(
         long_allocs <= 16,
         "per-run setup should be a handful of allocations, got {long_allocs}"
+    );
+}
+
+#[test]
+fn warm_resolve_all_allocates_nothing() {
+    let _alone = serialize();
+    let hmos = Hmos::new(HmosParams::with_d(3, 2, 1024, 5).unwrap()).unwrap();
+    let mut cells = Vec::new();
+    hmos.resolve_all(0, &mut cells);
+
+    let before = allocations();
+    let mut cell_sum = 0u64;
+    for v in 0..hmos.num_variables() {
+        cells.clear();
+        hmos.resolve_all(v, &mut cells);
+        cell_sum = cell_sum.wrapping_add(cells.iter().map(|c| c.slot).sum::<u64>());
+    }
+    let after = allocations();
+
+    assert_eq!(cells.len(), 9);
+    assert_ne!(cell_sum, 0);
+    assert_eq!(
+        after - before,
+        0,
+        "resolving all {} variables into a warm buffer must not allocate",
+        hmos.num_variables()
     );
 }

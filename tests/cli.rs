@@ -32,6 +32,8 @@ fn bad_arguments_exit_2() {
         &["structure", "--n", "64", "--d", "0"],
         &["simulate", "--n", "64", "--memory", "12", "--q", "1"],
         &["simulate", "--n", "64", "--memory", "12", "--q", "0"],
+        &["simulate", "--n", "1024", "--k", "9"],
+        &["structure", "--n", "1024", "--d", "5", "--k", "4294967295"],
     ] {
         assert_eq!(prasim(args), Some(2), "prasim {args:?}");
     }
