@@ -17,11 +17,9 @@ use crate::pram::{Op, PramStep};
 use crate::sim::SimError;
 use prasim_exec::ExecCtx;
 use prasim_hmos::{CopyAddr, Hmos, HmosParams, TargetSpec};
-use prasim_mesh::engine::{EngineError, Packet};
-use prasim_mesh::region::Rect;
-use prasim_mesh::topology::{Coord, MeshShape};
-use prasim_routing::problem::SplitMix64;
-use prasim_sortnet::snake::{snake_coord, snake_pos};
+use prasim_mesh::topology::MeshShape;
+use prasim_routing::flat::route_flat;
+use prasim_routing::problem::{RoutingInstance, SplitMix64};
 use prasim_sortnet::sorter::Sorter;
 use std::collections::HashMap;
 
@@ -54,44 +52,33 @@ pub trait BaselineScheme {
     fn exec(&mut self) -> &mut ExecCtx;
 }
 
-/// Sort-then-greedy delivery of `(src, dest, pkt)` requests; returns the
-/// cost pieces and, per packet, the node it was delivered to.
-fn route_packets(
-    shape: MeshShape,
-    pkts: &[(u32, u32)],
-    max_steps: u64,
-    ctx: &mut ExecCtx,
-) -> Result<(u64, u64, u64, usize), EngineError> {
-    let sorted = ctx.sort_pairs(
-        pkts.iter()
-            .enumerate()
-            .map(|(i, &(s, d))| (snake_pos(shape, s), (snake_pos(shape, d), i as u64))),
-        shape.rows,
-        shape.cols,
-    );
-    let mut engine = ctx.engine(shape);
-    let bounds = Rect::full(shape);
-    for (pos, &(_, idx)) in sorted.placed() {
-        let (r, c) = snake_coord(shape.cols, pos);
-        engine.inject(
-            Coord { r, c },
-            Packet {
-                id: idx,
-                dest: shape.coord(pkts[idx as usize].1),
-                bounds,
-                tag: idx,
-            },
-        );
+/// Step budget of every baseline routing.
+const MAX_ENGINE_STEPS: u64 = 100_000_000;
+
+impl BaselineReport {
+    /// Routes one packet per `(source, destination)` pair with
+    /// [`route_flat`] and charges the step; the `processors` reads start
+    /// out empty. Every baseline packet is delivered, so serving the
+    /// accesses takes as many steps as the busiest destination receives
+    /// packets (`l2`).
+    fn routed(
+        shape: MeshShape,
+        pairs: Vec<(u32, u32)>,
+        processors: usize,
+        ctx: &mut ExecCtx,
+    ) -> Result<Self, SimError> {
+        let inst = RoutingInstance { shape, pairs };
+        let routed = route_flat(&inst, MAX_ENGINE_STEPS, ctx)?;
+        let access_steps = inst.l2();
+        Ok(BaselineReport {
+            sort_steps: routed.sort_steps,
+            route_steps: routed.route_steps,
+            access_steps,
+            return_steps: routed.route_steps,
+            total_steps: routed.sort_steps + 2 * routed.route_steps + access_steps,
+            reads: vec![None; processors],
+        })
     }
-    let stats = engine.run(max_steps)?;
-    let mut per_node: HashMap<u32, u64> = HashMap::new();
-    for (node, pkt) in engine.drain_delivered() {
-        debug_assert_eq!(node, pkts[pkt.tag as usize].1);
-        *per_node.entry(node).or_insert(0) += 1;
-    }
-    ctx.recycle(engine);
-    let access = per_node.values().copied().max().unwrap_or(0);
-    Ok((sorted.cost.steps, stats.steps, access, stats.max_queue))
 }
 
 // ---------------------------------------------------------------------
@@ -104,7 +91,6 @@ pub struct SingleCopySim {
     shape: MeshShape,
     num_variables: u64,
     memory: Vec<HashMap<u64, u64>>,
-    max_engine_steps: u64,
     exec: ExecCtx,
 }
 
@@ -118,7 +104,6 @@ impl SingleCopySim {
             shape,
             num_variables,
             memory: vec![HashMap::new(); n as usize],
-            max_engine_steps: 100_000_000,
             exec: ExecCtx::new(threads, sorter, false),
         })
     }
@@ -148,14 +133,12 @@ impl BaselineScheme for SingleCopySim {
             .enumerate()
             .filter_map(|(p, op)| op.map(|o| (p as u32, self.home(o.var()))))
             .collect();
-        let (sort_steps, route_steps, access_steps, _q) =
-            route_packets(self.shape, &pkts, self.max_engine_steps, &mut self.exec)?;
-        let mut reads = vec![None; step.ops.len()];
+        let mut report = BaselineReport::routed(self.shape, pkts, step.ops.len(), &mut self.exec)?;
         for (p, op) in step.ops.iter().enumerate() {
             match op {
                 Some(Op::Read { var }) => {
                     let node = self.home(*var) as usize;
-                    reads[p] = Some(self.memory[node].get(var).copied().unwrap_or(0));
+                    report.reads[p] = Some(self.memory[node].get(var).copied().unwrap_or(0));
                 }
                 Some(Op::Write { var, value }) => {
                     let node = self.home(*var) as usize;
@@ -164,14 +147,7 @@ impl BaselineScheme for SingleCopySim {
                 None => {}
             }
         }
-        Ok(BaselineReport {
-            sort_steps,
-            route_steps,
-            access_steps,
-            return_steps: route_steps,
-            total_steps: sort_steps + 2 * route_steps + access_steps,
-            reads,
-        })
+        Ok(report)
     }
 }
 
@@ -186,7 +162,6 @@ pub struct MehlhornVishkinSim {
     num_variables: u64,
     c: u32,
     memory: Vec<HashMap<u64, u64>>,
-    max_engine_steps: u64,
     exec: ExecCtx,
 }
 
@@ -201,7 +176,6 @@ impl MehlhornVishkinSim {
             num_variables,
             c,
             memory: vec![HashMap::new(); n as usize],
-            max_engine_steps: 100_000_000,
             exec: ExecCtx::new(threads, sorter, false),
         })
     }
@@ -250,15 +224,13 @@ impl BaselineScheme for MehlhornVishkinSim {
                 None => {}
             }
         }
-        let (sort_steps, route_steps, access_steps, _q) =
-            route_packets(self.shape, &pkts, self.max_engine_steps, &mut self.exec)?;
-        let mut reads = vec![None; step.ops.len()];
+        let mut report = BaselineReport::routed(self.shape, pkts, step.ops.len(), &mut self.exec)?;
         for (p, op) in step.ops.iter().enumerate() {
             match op {
                 Some(Op::Read { var }) => {
                     // All copies agree (write-all), read copy 0's node.
                     let node = self.home(*var, 0) as usize;
-                    reads[p] = Some(self.memory[node].get(var).copied().unwrap_or(0));
+                    report.reads[p] = Some(self.memory[node].get(var).copied().unwrap_or(0));
                 }
                 Some(Op::Write { var, value }) => {
                     for j in 0..self.c {
@@ -269,14 +241,7 @@ impl BaselineScheme for MehlhornVishkinSim {
                 None => {}
             }
         }
-        Ok(BaselineReport {
-            sort_steps,
-            route_steps,
-            access_steps,
-            return_steps: route_steps,
-            total_steps: sort_steps + 2 * route_steps + access_steps,
-            reads,
-        })
+        Ok(report)
     }
 }
 
@@ -292,7 +257,6 @@ pub struct FlatHmosSim {
     spec: TargetSpec,
     memory: Vec<HashMap<u64, (u64, u64)>>,
     clock: u64,
-    max_engine_steps: u64,
     exec: ExecCtx,
 }
 
@@ -319,7 +283,6 @@ impl FlatHmosSim {
             hmos,
             spec,
             clock: 0,
-            max_engine_steps: 100_000_000,
             exec: ExecCtx::new(threads, sorter, false),
         })
     }
@@ -368,8 +331,7 @@ impl BaselineScheme for FlatHmosSim {
                 }
             }
         }
-        let (sort_steps, route_steps, access_steps, _q) =
-            route_packets(shape, &pkts, self.max_engine_steps, &mut self.exec)?;
+        let mut report = BaselineReport::routed(shape, pkts, step.ops.len(), &mut self.exec)?;
         let mut best: Vec<Option<(u64, u64)>> = vec![None; step.ops.len()];
         for &(p, node, slot) in &cells {
             match step.ops[p] {
@@ -388,7 +350,7 @@ impl BaselineScheme for FlatHmosSim {
                 None => unreachable!(),
             }
         }
-        let reads = best
+        report.reads = best
             .into_iter()
             .zip(&step.ops)
             .map(|(b, op)| match op {
@@ -396,14 +358,7 @@ impl BaselineScheme for FlatHmosSim {
                 _ => None,
             })
             .collect();
-        Ok(BaselineReport {
-            sort_steps,
-            route_steps,
-            access_steps,
-            return_steps: route_steps,
-            total_steps: sort_steps + 2 * route_steps + access_steps,
-            reads,
-        })
+        Ok(report)
     }
 }
 

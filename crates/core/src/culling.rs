@@ -163,23 +163,28 @@ pub fn cull_with(
     let shape: MeshShape = hmos.shape();
 
     let cells = resolve_requests(hmos, requests);
-    let cell = |p: usize, leaf: u64| &cells[p * qk as usize + leaf as usize];
+    let stripe = |p: usize| p * qk as usize..(p + 1) * qk as usize;
 
-    // Current selections C_v^i as leaf lists. C^0: minimal level-0 target
-    // set with a per-variable pseudo-random preference so initial choices
-    // spread over the copies (any minimal set is admissible).
-    let mut current: Vec<Vec<u64>> = requests
-        .iter()
-        .map(|req| match req {
-            None => Vec::new(),
-            Some(v) => {
-                let mut rng = SplitMix64(v.wrapping_mul(0x9E3779B97F4A7C15));
-                let prefs: Vec<u64> = (0..qk).map(|_| rng.next_u64() >> 8).collect();
-                spec.extract_minimal(0, |_| true, |l| prefs[l as usize])
-                    .expect("full copy tree always contains a level-0 target set")
+    // The current selections C_v^i, one `q^k`-wide leaf-mask stripe per
+    // processor. C^0: a minimal level-0 target set with a per-variable
+    // pseudo-random preference, so initial choices spread over the
+    // copies (any minimal set is admissible).
+    let mut in_c = vec![false; cells.len()];
+    let mut prefs = vec![0u64; qk as usize];
+    for (p, req) in requests.iter().enumerate() {
+        if let Some(v) = req {
+            let mut rng = SplitMix64(v.wrapping_mul(0x9E3779B97F4A7C15));
+            prefs.fill_with(|| rng.next_u64() >> 8);
+            let leaves = spec
+                .extract_minimal(0, |_| true, |l| prefs[l as usize])
+                .expect("full copy tree always contains a level-0 target set");
+            let c = &mut in_c[stripe(p)];
+            for l in leaves {
+                c[l as usize] = true;
             }
-        })
-        .collect();
+        }
+    }
+    let mut marked = vec![false; cells.len()];
 
     let mut report = CullingReport::default();
 
@@ -188,17 +193,17 @@ pub fn cull_with(
         let base_bound = 2.0 * qk as f64 * (n as f64).powf(exponent);
         let mark_bound = (slack * base_bound).ceil().max(1.0) as u64;
         let theorem3_bound = (4.0 * qk as f64 * (n as f64).powf(exponent)).ceil() as u64;
+        let page_of = |at: usize| cells[at].instances[i as usize - 1];
 
         // --- Parallel sort of all selected copies by level-i page. ---
         // Key: (page instance, processor, leaf); processor p holds the
         // keys for its variable's current selection.
         let sorted = ctx.sort_pairs(
-            current.iter().enumerate().flat_map(|(p, leaves)| {
+            (0..requests.len()).flat_map(|p| {
                 let pos = snake_pos(shape, p as u32);
-                leaves.iter().map(move |&leaf| {
-                    let page = cell(p, leaf).instances[i as usize - 1];
-                    (pos, (page, p as u32, leaf as u16))
-                })
+                stripe(p)
+                    .filter(|&at| in_c[at])
+                    .map(move |at| (pos, (page_of(at), p as u32, (at % qk as usize) as u16)))
             }),
             shape.rows,
             shape.cols,
@@ -206,58 +211,37 @@ pub fn cull_with(
         let (ranks, rank_cost) = rank_sorted(&sorted, |&(page, _, _)| page);
 
         // --- Marking: the first `mark_bound` copies of each page. ---
-        let mut marked: Vec<Vec<bool>> = requests
-            .iter()
-            .map(|r| {
-                if r.is_some() {
-                    vec![false; qk as usize]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        marked.fill(false);
         for (&(_page, p, leaf), &rank) in sorted.keys.iter().zip(&ranks) {
             if rank < mark_bound {
-                marked[p as usize][leaf as usize] = true;
+                marked[p as usize * qk as usize + leaf as usize] = true;
             }
         }
 
         // --- Per-variable extraction of a minimal level-i target set. ---
         let mut fallbacks = 0u64;
-        for (p, leaves) in current.iter_mut().enumerate() {
-            if leaves.is_empty() {
-                continue;
-            }
-            let in_c: Vec<bool> = {
-                let mut b = vec![false; qk as usize];
-                for &l in leaves.iter() {
-                    b[l as usize] = true;
-                }
-                b
-            };
-            let mk = &marked[p];
-            let from_marked =
-                spec.extract_minimal(i, |l| in_c[l as usize] && mk[l as usize], |_| 0);
-            let next = match from_marked {
-                Some(set) => set,
-                None => {
+        for p in (0..requests.len()).filter(|&p| requests[p].is_some()) {
+            let (c, mk) = (&in_c[stripe(p)], &marked[stripe(p)]);
+            let next = spec
+                .extract_minimal(i, |l| c[l as usize] && mk[l as usize], |_| 0)
+                .unwrap_or_else(|| {
                     fallbacks += 1;
-                    spec.extract_minimal(i, |l| in_c[l as usize], |l| u64::from(mk[l as usize]))
+                    spec.extract_minimal(i, |l| c[l as usize], |l| u64::from(mk[l as usize]))
                         .expect("C^{i-1} is a level-(i-1) target set, hence a level-i target set")
-                }
-            };
-            *leaves = next;
+                });
+            let c = &mut in_c[stripe(p)];
+            c.fill(false);
+            for l in next {
+                c[l as usize] = true;
+            }
         }
 
         // --- Post-iteration page loads (Theorem 3 verification). ---
-        let mut loads = std::collections::HashMap::new();
-        for (p, leaves) in current.iter().enumerate() {
-            for &leaf in leaves {
-                let page = cell(p, leaf).instances[i as usize - 1];
-                *loads.entry(page).or_insert(0u64) += 1;
-            }
+        let mut loads = vec![0u64; hmos.pages(i).len()];
+        for at in (0..in_c.len()).filter(|&at| in_c[at]) {
+            loads[page_of(at) as usize] += 1;
         }
-        let max_page_load = loads.values().copied().max().unwrap_or(0);
+        let max_page_load = loads.iter().copied().max().unwrap_or(0);
 
         let ledger = ctx.ledger_mut();
         let sort_steps = ledger.charge(&sorted.cost) + ledger.charge(&rank_cost) + qk; // + O(q^k) local
@@ -272,15 +256,21 @@ pub fn cull_with(
         });
     }
 
-    // Materialize the final selections.
-    let selected = current
+    // Materialize the final selections: minimal level-k target sets.
+    let selected = requests
         .iter()
         .enumerate()
-        .map(|(p, leaves)| {
-            leaves
-                .iter()
-                .map(|&leaf| SelectedCopy::new(leaf, cell(p, leaf), shape))
-                .collect()
+        .map(|(p, req)| match req {
+            None => Vec::new(),
+            Some(_) => {
+                let mut sel = Vec::with_capacity(spec.minimal_size(k) as usize);
+                sel.extend(
+                    stripe(p)
+                        .filter(|&at| in_c[at])
+                        .map(|at| SelectedCopy::new((at % qk as usize) as u64, &cells[at], shape)),
+                );
+                sel
+            }
         })
         .collect();
 

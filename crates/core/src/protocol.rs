@@ -6,9 +6,14 @@
 //! submesh (the whole mesh acts as the level-`(k+1)` submesh): packets
 //! are sorted by their destination level-`(i-1)` page, ranked, and routed
 //! to spread positions (`rank mod t_{i-1}`) inside that page's submesh.
-//! Stage 1 delivers each packet to the processor holding its copy. The
+//! Stage 1 is the same loop's last pass, without a sort: it routes each
+//! packet inside its level-1 page to the node holding its copy. The
 //! sorts physically permute the packets (as on the real machine), so the
-//! engine runs start from the post-sort positions.
+//! engine runs start from the post-sort positions. A stage groups the
+//! live packets by one sort of unique `(submesh, packet)` pairs; the
+//! order — ascending submesh, then packet — is part of the charged
+//! cost, since shearsort's phase count depends on the key order within
+//! a node.
 //!
 //! The return trip retraces the recorded path; as in the paper, its cost
 //! is dominated by the forward trip, and we charge it as equal to the
@@ -146,13 +151,6 @@ pub struct AccessResult {
     pub write_committed: Vec<Option<bool>>,
 }
 
-struct Pkt {
-    proc: u32,
-    copy: u32,
-    cur: u32,    // current node index
-    alive: bool, // false once a machine fault swallowed the packet
-}
-
 /// Executes the access protocol for one PRAM step.
 ///
 /// `memory[node]` maps slots to cells. `ops[p]` / `selected[p]` give
@@ -169,7 +167,8 @@ pub fn access_protocol(
     ctx: &mut ExecCtx,
 ) -> Result<AccessResult, EngineError> {
     let shape = hmos.shape();
-    let k = hmos.params().k;
+    let params = hmos.params();
+    let k = params.k;
     let full = Rect::full(shape);
     let clock = run.clock;
 
@@ -179,114 +178,126 @@ pub fn access_protocol(
         .map(|f| f.mask_at(shape, clock))
         .filter(|m| !m.is_empty());
 
-    // Flatten packets.
-    let mut pkts: Vec<Pkt> = Vec::new();
-    for (p, sel) in selected.iter().enumerate() {
-        for (ci, _copy) in sel.iter().enumerate() {
-            pkts.push(Pkt {
-                proc: p as u32,
-                copy: ci as u32,
-                cur: p as u32, // processor p sits on node p
-                alive: true,
-            });
-        }
-    }
-    let copy_of = |pkt: &Pkt| -> &SelectedCopy { &selected[pkt.proc as usize][pkt.copy as usize] };
+    // One packet per selected copy, processor-major: processor `p`'s
+    // packets form one contiguous run and start on node `p`. `alive` is
+    // cleared when a packet is injected and set again when it is
+    // delivered, so a packet a machine fault swallowed stays dead.
+    let copies: Vec<&SelectedCopy> = selected.iter().flatten().collect();
+    let mut cur: Vec<u32> = (0u32..)
+        .zip(selected)
+        .flat_map(|(p, sel)| std::iter::repeat_n(p, sel.len()))
+        .collect();
+    let mut alive = vec![true; copies.len()];
 
     let mut report = ProtocolReport::default();
+    // Live packets as (level-`stage` submesh, packet id); u32::MAX is
+    // the whole mesh, the level-(k+1) submesh.
+    let mut groups: Vec<(u32, u32)> = Vec::with_capacity(copies.len());
+    // Packets per node after a stage: the measured δ_{stage-1}.
+    let mut load = vec![0u64; shape.nodes() as usize];
 
-    // Stages k+1 down to 2: spread into the destination level-(i-1) pages.
-    for stage in (2..=k + 1).rev() {
-        // Group packets by their containing level-`stage` submesh.
-        // Key: page-instance id at level `stage` (u32::MAX = whole mesh).
-        let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (id, pkt) in pkts.iter().enumerate() {
-            if !pkt.alive {
-                continue;
-            }
-            let key = if stage == k + 1 {
-                u32::MAX
-            } else {
-                copy_of(pkt).instances[stage as usize - 1]
-            };
-            groups.entry(key).or_default().push(id);
-        }
-
-        let mut max_sort = SortCost::default();
+    for stage in (1..=k + 1).rev() {
         let mut engine = match &mask {
             Some(m) => ctx.engine(shape).with_faults(m.clone()),
             None => ctx.engine(shape),
         };
-        let mut in_stage = vec![false; pkts.len()];
-        let mut group_keys: Vec<u32> = groups.keys().copied().collect();
-        group_keys.sort_unstable(); // deterministic order
-        for gk in group_keys {
-            let rect = if gk == u32::MAX {
-                full
-            } else {
-                hmos.pages(stage)[gk as usize].rect
-            };
-            // Sort (dest child page, pkt id) by the packets' positions in
-            // the group's submesh, then rank within child pages.
-            let sorted = ctx.sort_pairs(
-                groups[&gk].iter().map(|&id| {
-                    let pkt = &pkts[id];
-                    let c = shape.coord(pkt.cur);
-                    debug_assert!(rect.contains(c), "packet escaped its submesh");
-                    let pos = snake_index(rect.cols, c.r - rect.r0, c.c - rect.c0);
-                    let child = copy_of(pkt).instances[stage as usize - 2];
-                    (pos, (child, id as u32))
-                }),
-                rect.rows,
-                rect.cols,
-            );
-            let (ranks, rank_cost) = rank_sorted(&sorted, |&(child, _)| child);
-            let mut cost = sorted.cost;
-            cost.add(rank_cost);
-            if ctx.ledger().value(&cost) > ctx.ledger().value(&max_sort) {
-                max_sort = cost;
-            }
-            // Post-sort positions + spread destinations; inject.
-            for ((pos, &(child, id)), &rank) in sorted.placed().zip(&ranks) {
-                let (lr, lc) = snake_coord(rect.cols, pos);
-                let at = Coord {
-                    r: rect.r0 + lr,
-                    c: rect.c0 + lc,
-                };
-                let child_rect = hmos.pages(stage - 1)[child as usize].rect;
-                let dest = child_rect.coord_at((rank % child_rect.area()) as u32);
-                pkts[id as usize].cur = shape.index(at);
-                in_stage[id as usize] = true;
+        let mut max_sort = SortCost::default();
+        if stage == 1 {
+            // Deliver each packet, inside its level-1 page, to the node
+            // holding its copy; no sort needed.
+            for (id, live) in alive.iter_mut().enumerate().filter(|(_, live)| **live) {
+                *live = false;
                 engine.inject(
-                    at,
+                    shape.coord(cur[id]),
                     Packet {
                         id: id as u64,
-                        dest,
-                        bounds: rect,
+                        dest: shape.coord(copies[id].node),
+                        bounds: hmos.pages(1)[copies[id].instances[0] as usize].rect,
                         tag: id as u64,
                     },
                 );
+            }
+        } else {
+            // Spread into the destination level-(stage-1) pages, each
+            // level-`stage` submesh on its own, in ascending submesh
+            // then packet order.
+            groups.clear();
+            groups.extend(
+                (0..copies.len() as u32)
+                    .filter(|&id| alive[id as usize])
+                    .map(|id| {
+                        let submesh = if stage == k + 1 {
+                            u32::MAX
+                        } else {
+                            copies[id as usize].instances[stage as usize - 1]
+                        };
+                        (submesh, id)
+                    }),
+            );
+            groups.sort_unstable();
+            for group in groups.chunk_by(|a, b| a.0 == b.0) {
+                let rect = match group[0].0 {
+                    u32::MAX => full,
+                    submesh => hmos.pages(stage)[submesh as usize].rect,
+                };
+                // Sort (dest child page, pkt id) by the packets' positions
+                // in the submesh, then rank within child pages.
+                let sorted = ctx.sort_pairs(
+                    group.iter().map(|&(_, id)| {
+                        let c = shape.coord(cur[id as usize]);
+                        debug_assert!(rect.contains(c), "packet escaped its submesh");
+                        let pos = snake_index(rect.cols, c.r - rect.r0, c.c - rect.c0);
+                        let child = copies[id as usize].instances[stage as usize - 2];
+                        (pos, (child, id))
+                    }),
+                    rect.rows,
+                    rect.cols,
+                );
+                let (ranks, rank_cost) = rank_sorted(&sorted, |&(child, _)| child);
+                let mut cost = sorted.cost;
+                cost.add(rank_cost);
+                if ctx.ledger().value(&cost) > ctx.ledger().value(&max_sort) {
+                    max_sort = cost;
+                }
+                // Post-sort positions + spread destinations; inject.
+                for ((pos, &(child, id)), &rank) in sorted.placed().zip(&ranks) {
+                    let (lr, lc) = snake_coord(rect.cols, pos);
+                    let at = Coord {
+                        r: rect.r0 + lr,
+                        c: rect.c0 + lc,
+                    };
+                    let child_rect = hmos.pages(stage - 1)[child as usize].rect;
+                    let dest = child_rect.coord_at((rank % child_rect.area()) as u32);
+                    cur[id as usize] = shape.index(at);
+                    alive[id as usize] = false;
+                    engine.inject(
+                        at,
+                        Packet {
+                            id: id as u64,
+                            dest,
+                            bounds: rect,
+                            tag: id as u64,
+                        },
+                    );
+                }
             }
         }
         let stats = engine.run(run.max_engine_steps)?;
         report.max_queue = report.max_queue.max(stats.max_queue);
         report.dropped += stats.dropped;
-        // Update positions and measure δ_{stage-1}.
-        let mut per_node: HashMap<u32, u64> = HashMap::new();
+        let mut max_node_load = 0;
         for (node, pkt) in engine.drain_delivered() {
-            in_stage[pkt.tag as usize] = false;
-            pkts[pkt.tag as usize].cur = node;
-            *per_node.entry(node).or_insert(0) += 1;
+            cur[pkt.tag as usize] = node;
+            alive[pkt.tag as usize] = true;
+            load[node as usize] += 1;
+            max_node_load = max_node_load.max(load[node as usize]);
         }
         ctx.recycle(engine);
-        // Anything injected but not delivered was swallowed by a fault.
-        for (id, lost) in in_stage.into_iter().enumerate() {
-            if lost {
-                pkts[id].alive = false;
-            }
-        }
-        let max_node_load = per_node.values().copied().max().unwrap_or(0);
-        let sort_steps = ctx.ledger_mut().charge(&max_sort);
+        load.fill(0);
+        let sort_steps = match stage {
+            1 => 0,
+            _ => ctx.ledger_mut().charge(&max_sort),
+        };
         report.stages.push(StageReport {
             stage,
             sort_steps,
@@ -295,142 +306,82 @@ pub fn access_protocol(
         });
         report.total_steps += sort_steps + stats.steps;
     }
-
-    // Stage 1: deliver to the copy-holding processors.
-    {
-        let mut engine = match &mask {
-            Some(m) => ctx.engine(shape).with_faults(m.clone()),
-            None => ctx.engine(shape),
-        };
-        let mut in_stage = vec![false; pkts.len()];
-        for (id, pkt) in pkts.iter().enumerate() {
-            if !pkt.alive {
-                continue;
-            }
-            let copy = copy_of(pkt);
-            let rect = hmos.pages(1)[copy.instances[0] as usize].rect;
-            let at = shape.coord(pkt.cur);
-            in_stage[id] = true;
-            engine.inject(
-                at,
-                Packet {
-                    id: id as u64,
-                    dest: shape.coord(copy.node),
-                    bounds: rect,
-                    tag: id as u64,
-                },
-            );
-        }
-        let stats = engine.run(run.max_engine_steps)?;
-        report.max_queue = report.max_queue.max(stats.max_queue);
-        report.dropped += stats.dropped;
-        let mut per_node: HashMap<u32, u64> = HashMap::new();
-        for (node, pkt) in engine.drain_delivered() {
-            in_stage[pkt.tag as usize] = false;
-            pkts[pkt.tag as usize].cur = node;
-            *per_node.entry(node).or_insert(0) += 1;
-        }
-        ctx.recycle(engine);
-        for (id, lost) in in_stage.into_iter().enumerate() {
-            if lost {
-                pkts[id].alive = false;
-            }
-        }
-        let max_node_load = per_node.values().copied().max().unwrap_or(0);
-        report.stages.push(StageReport {
-            stage: 1,
-            sort_steps: 0,
-            route_steps: stats.steps,
-            max_node_load,
-        });
-        report.total_steps += stats.steps;
-        report.access_steps = max_node_load;
-        report.total_steps += max_node_load;
-    }
-
-    // Perform the accesses. Cell faults overlay the memory: a corrupt
-    // cell answers reads with forged garbage and loses writes; a frozen
-    // cell keeps its stale contents and loses writes.
-    let mut read_acc: Vec<Option<(u64, u64)>> = vec![None; ops.len()]; // (ts, value)
-    let mut replies: Vec<Vec<CopyReport>> = vec![Vec::new(); ops.len()];
-    let mut written: Vec<Vec<u64>> = vec![Vec::new(); ops.len()]; // installed leaves
-    for pkt in &pkts {
-        if !pkt.alive {
-            continue;
-        }
-        let copy = copy_of(pkt);
-        debug_assert_eq!(pkt.cur, copy.node, "packet not at its copy");
-        let fault = run
-            .faults
-            .and_then(|f| f.cell_fault(copy.node, copy.slot, clock));
-        match ops[pkt.proc as usize] {
-            Some(Op::Read { .. }) => {
-                let (value, ts) = match fault {
-                    Some(CopyFaultKind::Corrupt) => run
-                        .faults
-                        .expect("fault came from a plan")
-                        .garbage_for(copy.node, copy.slot),
-                    _ => memory[copy.node as usize]
-                        .get(&copy.slot)
-                        .copied()
-                        .unwrap_or((0, 0)),
-                };
-                match run.policy {
-                    ReadPolicy::Freshest => {
-                        let best = &mut read_acc[pkt.proc as usize];
-                        if best.is_none_or(|(bts, _)| ts > bts) {
-                            *best = Some((ts, value));
-                        }
-                    }
-                    ReadPolicy::HierarchicalMajority => {
-                        replies[pkt.proc as usize].push(CopyReport {
-                            leaf: copy.leaf,
-                            ts,
-                            value,
-                        });
-                    }
-                }
-            }
-            Some(Op::Write { value, .. }) => {
-                if fault.is_none() {
-                    memory[copy.node as usize].insert(copy.slot, (value, clock));
-                    written[pkt.proc as usize].push(copy.leaf);
-                }
-            }
-            None => unreachable!("packet for an idle processor"),
-        }
-    }
-
-    // Return trip: retraces the recorded path; charged as the forward
-    // routing steps (the paper notes the forward part dominates).
+    // Serving the accesses takes as many steps as the busiest copy node
+    // holds packets (δ_0). The return trip retraces the recorded path;
+    // it is charged as the forward routing steps (the paper notes the
+    // forward part dominates).
+    report.access_steps = report.stages.last().map_or(0, |s| s.max_node_load);
     report.return_steps = report.stages.iter().map(|s| s.route_steps).sum();
-    report.total_steps += report.return_steps;
+    report.total_steps += report.access_steps + report.return_steps;
 
-    // Resolve per-processor results.
-    let params = hmos.params();
-    let spec = TargetSpec {
-        q: params.q,
-        k: params.k,
-    };
+    // Perform each processor's accesses and resolve its result in one
+    // pass over its run of packets. Cell faults overlay the memory: a
+    // corrupt cell answers reads with forged garbage and loses writes;
+    // a frozen cell keeps its stale contents and loses writes.
+    let spec = TargetSpec { q: params.q, k };
     let mut reads: Vec<Option<u64>> = vec![None; ops.len()];
     let mut outcomes: Vec<Option<QuorumRead>> = vec![None; ops.len()];
     let mut write_committed: Vec<Option<bool>> = vec![None; ops.len()];
+    let mut replies: Vec<CopyReport> = Vec::new();
+    let mut written: Vec<u64> = Vec::new(); // installed leaves
+    let mut start = 0;
     for (p, op) in ops.iter().enumerate() {
+        let run_ids = start..start + selected.get(p).map_or(0, Vec::len);
+        start = run_ids.end;
+        let mut freshest: Option<(u64, u64)> = None; // (ts, value)
+        replies.clear();
+        written.clear();
+        for copy in run_ids.filter(|&id| alive[id]).map(|id| copies[id]) {
+            let fault = run
+                .faults
+                .and_then(|f| f.cell_fault(copy.node, copy.slot, clock));
+            match op {
+                Some(Op::Read { .. }) => {
+                    let (value, ts) = match fault {
+                        Some(CopyFaultKind::Corrupt) => run
+                            .faults
+                            .expect("fault came from a plan")
+                            .garbage_for(copy.node, copy.slot),
+                        _ => memory[copy.node as usize]
+                            .get(&copy.slot)
+                            .copied()
+                            .unwrap_or((0, 0)),
+                    };
+                    match run.policy {
+                        ReadPolicy::Freshest => {
+                            if freshest.is_none_or(|(best, _)| ts > best) {
+                                freshest = Some((ts, value));
+                            }
+                        }
+                        ReadPolicy::HierarchicalMajority => replies.push(CopyReport {
+                            leaf: copy.leaf,
+                            ts,
+                            value,
+                        }),
+                    }
+                }
+                Some(Op::Write { value, .. }) => {
+                    if fault.is_none() {
+                        memory[copy.node as usize].insert(copy.slot, (*value, clock));
+                        written.push(copy.leaf);
+                    }
+                }
+                None => unreachable!("packet for an idle processor"),
+            }
+        }
         match op {
             Some(Op::Read { .. }) => {
                 let outcome = match run.policy {
-                    ReadPolicy::Freshest => match read_acc[p] {
+                    ReadPolicy::Freshest => match freshest {
                         Some((ts, value)) => QuorumRead::Value { ts, value },
                         None => QuorumRead::Unrecoverable, // every packet lost
                     },
-                    ReadPolicy::HierarchicalMajority => spec.resolve_majority(&replies[p]),
+                    ReadPolicy::HierarchicalMajority => spec.resolve_majority(&replies),
                 };
                 reads[p] = outcome.value();
                 outcomes[p] = Some(outcome);
             }
-            Some(Op::Write { .. }) => {
-                write_committed[p] = Some(spec.is_target(&written[p]));
-            }
+            Some(Op::Write { .. }) => write_committed[p] = Some(spec.is_target(&written)),
             None => {}
         }
     }
@@ -795,6 +746,121 @@ mod tests {
                 Some(QuorumRead::Unrecoverable) => assert_eq!(res.reads[0], None),
                 None => panic!("read op must resolve"),
             }
+        }
+    }
+
+    /// The stage report of a faulted step with 512 requests on the
+    /// n = 1024, q = 3, k = 2 machine: the per-stage sort steps, route
+    /// steps and δ are the same for both steps, `dropped` is not (the
+    /// lossy link draws per step).
+    fn faulted_report(dropped: u64) -> ProtocolReport {
+        let stage = |stage, sort_steps, route_steps, max_node_load| StageReport {
+            stage,
+            sort_steps,
+            route_steps,
+            max_node_load,
+        };
+        ProtocolReport {
+            stages: vec![
+                stage(3, 2824, 281, 6),
+                stage(2, 470, 137, 11),
+                stage(1, 0, 35, 12),
+            ],
+            access_steps: 12,
+            return_steps: 453,
+            total_steps: 4212,
+            max_queue: 90,
+            dropped,
+        }
+    }
+
+    #[test]
+    fn faulted_quorum_step_report_is_pinned() {
+        use prasim_fault::FaultPlan;
+        use prasim_mesh::topology::Dir;
+
+        // Recorded values: the stages' grouping and ordering, and which
+        // packets count as lost, must reproduce them exactly.
+        let h = hmos();
+        let mut memory = fresh_memory(1024);
+        let vars = workload::random_distinct(512, h.num_variables(), 11);
+        let mut reqs: Vec<Option<u64>> = vars.iter().copied().map(Some).collect();
+        reqs.resize(1024, None);
+        let sel = select_all(&h, &reqs);
+        let mut plan = FaultPlan::new(17);
+        for (r, c) in [(3, 3), (9, 22), (21, 8), (27, 27)] {
+            plan.kill_node(Coord::new(r, c));
+        }
+        plan.random_dead_nodes(h.shape(), 24, 0);
+        plan.sever_link(Coord::new(16, 16), Dir::East);
+        plan.lossy_link(Coord::new(8, 24), Dir::South, 300);
+        let quorum = |clock| {
+            RunOptions::new(clock)
+                .with_policy(ReadPolicy::HierarchicalMajority)
+                .with_faults(&plan)
+        };
+
+        let mut wstep = workload::write_step(&vars, 9000);
+        wstep.ops.resize(1024, None);
+        let res = access_protocol(
+            &h,
+            &mut memory,
+            &wstep.ops,
+            &sel.selected,
+            &quorum(1),
+            &mut ExecCtx::default(),
+        )
+        .unwrap();
+        assert_eq!(res.report, faulted_report(558));
+        for p in 0..1024 {
+            let expect = match p {
+                219 | 461 => Some(false),
+                _ if p < 512 => Some(true),
+                _ => None,
+            };
+            assert_eq!(res.write_committed[p], expect, "processor {p}");
+        }
+
+        let mut rstep = workload::read_step(&vars);
+        rstep.ops.resize(1024, None);
+        let res = access_protocol(
+            &h,
+            &mut memory,
+            &rstep.ops,
+            &sel.selected,
+            &quorum(2),
+            &mut ExecCtx::default(),
+        )
+        .unwrap();
+        assert_eq!(res.report, faulted_report(560));
+        for p in 0..1024 {
+            let expect = match p {
+                219 | 461 => Some(QuorumRead::Unrecoverable),
+                _ if p < 512 => Some(QuorumRead::Value {
+                    ts: 1,
+                    value: 9000 + p as u64,
+                }),
+                _ => None,
+            };
+            assert_eq!(res.outcomes[p], expect, "processor {p}");
+            assert_eq!(res.reads[p], expect.and_then(|o| o.value()));
+        }
+
+        // Freshest reads over the same lossy routes: every surviving
+        // copy set still carries the write's timestamp.
+        let fresh = RunOptions::new(3).with_faults(&plan);
+        let res = access_protocol(
+            &h,
+            &mut memory,
+            &rstep.ops,
+            &sel.selected,
+            &fresh,
+            &mut ExecCtx::default(),
+        )
+        .unwrap();
+        assert_eq!(res.report, faulted_report(556));
+        for p in 0..512 {
+            assert_eq!(res.reads[p], Some(9000 + p as u64), "processor {p}");
         }
     }
 }

@@ -13,7 +13,9 @@
 //! internal nodes at depth ≥ `i` require `⌊q/2⌋+2` accessed children
 //! (depth < `i` keeps the plain majority). Extraction of minimal target
 //! sets is a small DP over the tree that maximizes a caller-supplied
-//! preference — used by CULLING to prefer already-marked copies.
+//! preference — used by CULLING to prefer already-marked copies. It
+//! builds its result on one leaf stack plus one stack of finished
+//! subtrees, so it allocates two buffers per call.
 
 /// Tree-shape parameters for target-set computations: `q`-ary, height `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,8 +154,15 @@ impl TargetSpec {
         A: Fn(u64) -> bool,
         P: Fn(u64) -> u64,
     {
-        self.extract_rec(0, 0, ext_level, &avail, &pref)
-            .map(|(_, leaves)| leaves)
+        let mut ex = Extraction {
+            spec: self,
+            ext_level,
+            avail,
+            pref,
+            leaves: Vec::with_capacity(self.num_leaves() as usize),
+            records: Vec::with_capacity((self.q * u64::from(self.k) + 1) as usize),
+        };
+        ex.subtree(0, 0, 0).then_some(ex.leaves)
     }
 
     /// Minimum number of faulty copies that can make the root
@@ -222,47 +231,69 @@ impl TargetSpec {
         }
         QuorumRead::Unrecoverable
     }
+}
 
-    fn extract_rec<A, P>(
-        &self,
-        depth: u32,
-        prefix: u64,
-        ext_level: u32,
-        avail: &A,
-        pref: &P,
-    ) -> Option<(u64, Vec<u64>)>
-    where
-        A: Fn(u64) -> bool,
-        P: Fn(u64) -> u64,
-    {
-        if depth == self.k {
-            return if avail(prefix) {
-                Some((pref(prefix), vec![prefix]))
-            } else {
-                None
-            };
-        }
-        let stride = self.q.pow(depth);
-        let mut kids: Vec<(u64, u64, Vec<u64>)> = Vec::with_capacity(self.q as usize); // (score, child, leaves)
-        for c in 0..self.q {
-            if let Some((score, leaves)) =
-                self.extract_rec(depth + 1, prefix + c * stride, ext_level, avail, pref)
-            {
-                kids.push((score, c, leaves));
+/// One [`TargetSpec::extract_minimal`] call: a depth-first walk of `T_v`
+/// that keeps every finished subtree's leaves on one stack and its
+/// `(score, child, start, len)` record on another, so the whole
+/// extraction allocates two buffers (the leaf stack becomes the result).
+struct Extraction<'a, A, P> {
+    spec: &'a TargetSpec,
+    ext_level: u32,
+    avail: A,
+    pref: P,
+    leaves: Vec<u64>,
+    records: Vec<(u64, u64, usize, usize)>,
+}
+
+impl<A, P> Extraction<'_, A, P>
+where
+    A: Fn(u64) -> bool,
+    P: Fn(u64) -> u64,
+{
+    /// Extracts the subtree at `(depth, prefix)`, its parent's `child`-th
+    /// child. On success its leaves, ascending, end the leaf stack and its
+    /// record ends the record stack; on failure both stacks are unchanged.
+    fn subtree(&mut self, depth: u32, prefix: u64, child: u64) -> bool {
+        let start = self.leaves.len();
+        if depth == self.spec.k {
+            if !(self.avail)(prefix) {
+                return false;
             }
+            self.leaves.push(prefix);
+            self.records.push(((self.pref)(prefix), child, start, 1));
+            return true;
         }
-        let t = self.threshold(depth, ext_level);
+        let stride = self.spec.q.pow(depth);
+        let base = self.records.len();
+        for c in 0..self.spec.q {
+            self.subtree(depth + 1, prefix + c * stride, c);
+        }
+        let t = self.spec.threshold(depth, self.ext_level);
+        let kids = &mut self.records[base..];
         if kids.len() < t {
-            return None;
+            self.leaves.truncate(start);
+            self.records.truncate(base);
+            return false;
         }
-        // Highest preference first; stable tie-break on child index.
-        kids.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        kids.truncate(t);
+        // Highest preference first; ties go to the smaller child index.
+        kids.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let chosen = &mut kids[..t];
         // Saturating: arbitrary caller preferences must not overflow.
-        let score = kids.iter().fold(0u64, |a, k| a.saturating_add(k.0));
-        let mut leaves: Vec<u64> = kids.into_iter().flat_map(|k| k.2).collect();
-        leaves.sort_unstable();
-        Some((score, leaves))
+        let score = chosen.iter().fold(0u64, |a, k| a.saturating_add(k.0));
+        // Slide the chosen children's leaves down to `start` in stack
+        // order, so every move goes to a lower or equal position.
+        chosen.sort_unstable_by_key(|k| k.2);
+        let mut end = start;
+        for &(_, _, from, len) in chosen.iter() {
+            self.leaves.copy_within(from..from + len, end);
+            end += len;
+        }
+        self.leaves.truncate(end);
+        self.leaves[start..].sort_unstable();
+        self.records.truncate(base);
+        self.records.push((score, child, start, end - start));
+        true
     }
 }
 

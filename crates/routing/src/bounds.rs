@@ -15,7 +15,9 @@ pub struct LowerBounds {
     /// Longest source–destination Manhattan distance.
     pub distance: u64,
     /// Receiver serialization: `max_dest_load / degree(dest)` (border and
-    /// corner nodes have fewer links).
+    /// corner nodes have fewer links). Only packets that move count: a
+    /// self-addressed packet is absorbed when the run starts and uses no
+    /// link.
     pub receiver: u64,
     /// Vertical bisection: packets crossing the middle column, divided by
     /// the `rows` wires crossing it per direction.
@@ -52,7 +54,9 @@ pub fn lower_bounds(inst: &RoutingInstance) -> LowerBounds {
         if (sc.r < mid_r) != (dc.r < mid_r) {
             cross_h += 1;
         }
-        *per_dest.entry(d).or_insert(0u64) += 1;
+        if s != d {
+            *per_dest.entry(d).or_insert(0u64) += 1;
+        }
     }
     let receiver = per_dest
         .iter()
@@ -79,6 +83,28 @@ mod tests {
     use crate::greedy::route_greedy;
     use prasim_exec::ExecCtx;
     use prasim_mesh::topology::MeshShape;
+
+    #[test]
+    fn self_addressed_packets_need_no_receiver_time() {
+        // A 1×1 mesh has no links; every packet is already home.
+        let one = RoutingInstance {
+            shape: MeshShape::square(1),
+            pairs: vec![(0, 0); 5],
+        };
+        assert_eq!(lower_bounds(&one).best(), 0);
+        // On 2×2 (two links per node), four packets stay home on node 0
+        // and three arrive there from elsewhere: only the three need
+        // node 0's links.
+        let mut pairs = vec![(0, 0); 4];
+        pairs.extend([(1, 0), (2, 0), (3, 0)]);
+        let two = RoutingInstance {
+            shape: MeshShape::square(2),
+            pairs,
+        };
+        let lb = lower_bounds(&two);
+        assert_eq!(lb.receiver, 2);
+        assert_eq!(lb.distance, 2);
+    }
 
     #[test]
     fn permutation_bounds_dominated_by_distance() {

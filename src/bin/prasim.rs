@@ -137,6 +137,14 @@ impl Args {
         }
     }
 
+    /// `--slack` (default 1.0); must be finite and positive.
+    fn slack(&self) -> f64 {
+        match self.get_f64("slack", 1.0) {
+            s if s.is_finite() && s > 0.0 => s,
+            _ => die("--slack expects a finite number above 0"),
+        }
+    }
+
     /// `--sorter` (default: [`Sorter::default`], columnsort).
     fn sorter(&self) -> Sorter {
         self.flags.get("sorter").map_or(Sorter::default(), |v| {
@@ -220,7 +228,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     let config = SimConfig::new(n, memory)
         .with_q(args.get_u64("q", 3))
         .with_k(args.get_u32("k", 2))
-        .with_culling_slack(args.get_f64("slack", 1.0))
+        .with_culling_slack(args.slack())
         .with_analytic_sort(args.has("analytic"))
         .with_read_policy(policy)
         .with_sorter(sorter)
@@ -420,8 +428,8 @@ fn cmd_route(args: &Args) -> ExitCode {
     args.check(&["n", "l1", "seed", "algo", "parts", "threads", "sorter"]);
     let n = args.get_u64("n", 1024);
     let shape = match MeshShape::square_of(n) {
-        Some(s) => s,
-        None => die("--n must be a perfect square"),
+        Some(s) if n > 0 => s,
+        _ => die("--n must be a positive perfect square"),
     };
     let mut ctx = ExecCtx::new(args.threads(), args.sorter(), false);
     let l1 = args.get_u64("l1", 1);

@@ -29,6 +29,9 @@
 //! whole body: otherwise one test's measurement window would count the
 //! other test's allocations.
 
+use prasim::core::culling::cull_with;
+use prasim::core::workload;
+use prasim::exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams};
 use prasim_mesh::engine::{Engine, Packet};
 use prasim_mesh::fault::FaultMask;
@@ -280,4 +283,30 @@ fn warm_resolve_all_allocates_nothing() {
         "resolving all {} variables into a warm buffer must not allocate",
         hmos.num_variables()
     );
+}
+
+#[test]
+fn warm_cull_with_allocates_little_per_request() {
+    let _alone = serialize();
+    for n in [1024u64, 4096] {
+        let hmos = Hmos::new(HmosParams::new(3, 2, n, 40_000).unwrap()).unwrap();
+        let requests: Vec<Option<u64>> = workload::random_distinct(n, hmos.num_variables(), 3)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut ctx = ExecCtx::default();
+        cull_with(&hmos, &requests, 1.0, &mut ctx);
+
+        let before = allocations();
+        let out = cull_with(&hmos, &requests, 1.0, &mut ctx);
+        let after = allocations();
+
+        assert!(out.selected.iter().all(|sel| sel.len() == 4));
+        let per_request = (after - before) as f64 / n as f64;
+        assert!(
+            per_request <= 8.0,
+            "a warm cull_with at n = {n} made {} allocations, {per_request:.1} per request",
+            after - before
+        );
+    }
 }

@@ -34,6 +34,11 @@ fn bad_arguments_exit_2() {
         &["simulate", "--n", "64", "--memory", "12", "--q", "0"],
         &["simulate", "--n", "1024", "--k", "9"],
         &["structure", "--n", "1024", "--d", "5", "--k", "4294967295"],
+        &["route", "--n", "0"],
+        &["simulate", "--n", "64", "--slack", "nan"],
+        &["simulate", "--n", "64", "--slack", "inf"],
+        &["simulate", "--n", "64", "--slack", "0"],
+        &["simulate", "--n", "64", "--slack", "-1"],
     ] {
         assert_eq!(prasim(args), Some(2), "prasim {args:?}");
     }
@@ -55,6 +60,7 @@ fn good_arguments_succeed() {
             "shearsort",
         ],
         &["bibd", "--q", "3", "--d", "2", "--dot"],
+        &["route", "--n", "1"],
     ] {
         assert_eq!(prasim(args), Some(0), "prasim {args:?}");
     }
