@@ -6,6 +6,8 @@
 //! [`tables::Table`]; the `reproduce` binary prints them all at the
 //! problem sizes in [`sizes`].
 
+#![forbid(unsafe_code)]
+
 pub mod fit;
 pub mod sizes;
 pub mod tables;

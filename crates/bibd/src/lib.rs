@@ -64,6 +64,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod design;
 pub mod subgraph;
 pub mod verify;

@@ -93,8 +93,8 @@ pub fn step_crcw(
             .or_insert((p, value));
     }
     // The reduction sweep costs one segmented scan (charged like rank).
-    let combine_steps =
-        sorted.cost.steps + 2 * sorted.h as u64 * (shape.rows as u64 + shape.cols as u64);
+    let combine_steps = sim.exec().ledger_mut().charge(&sorted.cost)
+        + 2 * sorted.h as u64 * (shape.rows as u64 + shape.cols as u64);
 
     // ---- Build the CREW phase(s). ----
     let read_vars: std::collections::HashSet<u64> = step

@@ -194,8 +194,9 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
         }
     }
 
-    let combine_steps = sort1.cost.steps;
-    let fanout_steps = sort2.cost.steps + bcast.steps + stats.steps;
+    let ledger = sim.exec().ledger_mut();
+    let combine_steps = ledger.charge(&sort1.cost);
+    let fanout_steps = ledger.charge(&sort2.cost) + ledger.charge(&bcast) + stats.steps;
     Ok(CrewReport {
         combine_steps,
         total_steps: combine_steps + erew_report.total_steps + fanout_steps,
@@ -209,6 +210,7 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
 mod tests {
     use super::*;
     use crate::sim::SimConfig;
+    use prasim_exec::ExecCtx;
 
     fn sim() -> PramMeshSim {
         PramMeshSim::new(SimConfig::new(256, 100)).unwrap()
@@ -225,6 +227,22 @@ mod tests {
             assert_eq!(r.reads[p], Some(777), "processor {p}");
         }
         assert!(r.combine_steps > 0 && r.fanout_steps > 0);
+    }
+
+    #[test]
+    fn analytic_context_charges_the_combining_sort_analytically() {
+        let config = SimConfig::new(256, 100).with_analytic_sort(true);
+        let mut s = PramMeshSim::new(config).unwrap();
+        let r = step_crew(&mut s, &PramStep::reads(&vec![42u64; 256])).unwrap();
+        // The combining sort, repeated on a measured context.
+        let shape = s.hmos().shape();
+        let sorted = ExecCtx::new(1, config.sorter, false).sort_pairs(
+            (0..256u32).map(|p| (snake_pos(shape, p), (42u64, p))),
+            shape.rows,
+            shape.cols,
+        );
+        assert_ne!(sorted.cost.analytic_steps, sorted.cost.steps);
+        assert_eq!(r.combine_steps, sorted.cost.analytic_steps);
     }
 
     #[test]

@@ -302,8 +302,8 @@ mod tests {
         let spec = TargetSpec { q: 3, k: 2 };
         for sel in out.selected.iter() {
             assert_eq!(sel.len() as u64, spec.minimal_size(2)); // 2^2 = 4
-            let leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
-            assert!(spec.is_target(&leaves));
+            let mut leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
+            assert!(spec.is_target(&mut leaves));
         }
     }
 
@@ -335,8 +335,8 @@ mod tests {
         let out = cull_with(&h, &reqs, 0.001, &mut ExecCtx::default());
         let spec = TargetSpec { q: 3, k: 2 };
         for sel in &out.selected {
-            let leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
-            assert!(spec.is_target(&leaves));
+            let mut leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
+            assert!(spec.is_target(&mut leaves));
         }
         let total_fallbacks: u64 = out.report.iterations.iter().map(|i| i.fallbacks).sum();
         assert!(total_fallbacks > 0);

@@ -1,6 +1,8 @@
 //! The deterministic PRAM-on-mesh simulation: CULLING, the staged access
 //! protocol, consistency, and baseline schemes (Section 3 of the paper).
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod crcw;
 pub mod crew;

@@ -376,12 +376,12 @@ pub fn access_protocol(
                         Some((ts, value)) => QuorumRead::Value { ts, value },
                         None => QuorumRead::Unrecoverable, // every packet lost
                     },
-                    ReadPolicy::HierarchicalMajority => spec.resolve_majority(&replies),
+                    ReadPolicy::HierarchicalMajority => spec.resolve_majority(&mut replies),
                 };
                 reads[p] = outcome.value();
                 outcomes[p] = Some(outcome);
             }
-            Some(Op::Write { .. }) => write_committed[p] = Some(spec.is_target(&written)),
+            Some(Op::Write { .. }) => write_committed[p] = Some(spec.is_target(&mut written)),
             None => {}
         }
     }

@@ -207,8 +207,8 @@ pub struct PramMeshSim {
 impl PramMeshSim {
     /// Builds the simulator: derives HMOS parameters, constructs the
     /// replication graphs and the page tessellations, and builds the
-    /// execution context (worker pool, engine pool, sorter resources,
-    /// cost ledger) every step borrows.
+    /// execution context (engine pool, sorter resources, cost ledger)
+    /// every step borrows.
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
         let params = HmosParams::new(config.q, config.k, config.n, config.memory)?;
         let hmos = Hmos::new(params)?;

@@ -40,8 +40,8 @@ proptest! {
                 continue;
             }
             prop_assert_eq!(sel.len() as u64, spec.minimal_size(2));
-            let leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
-            prop_assert!(spec.is_target(&leaves), "processor {} selection invalid", p);
+            let mut leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
+            prop_assert!(spec.is_target(&mut leaves), "processor {} selection invalid", p);
         }
     }
 

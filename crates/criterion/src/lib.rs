@@ -17,6 +17,8 @@
 //!
 //! [`criterion`]: https://docs.rs/criterion
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Opaque value barrier — defers to `std::hint::black_box`.

@@ -6,24 +6,23 @@
 //! runs packets on the store-and-forward engine and sorts through the
 //! pluggable sorter. Before this layer, each of those call sites
 //! re-threaded the cross-cutting knobs (`threads`, `sorter`, `analytic`)
-//! by hand, rebuilt `Engine`s per stage, re-spawned the sharded engine's
-//! worker threads per `run` call, and shared one process-global
+//! by hand, rebuilt `Engine`s per stage and shared one process-global
 //! columnsort route memo.
 //!
 //! [`ExecCtx`] consolidates that state into one value built per
-//! simulation:
+//! simulation. Besides its thread count and sorter it owns three things:
 //!
-//! - a persistent [`WorkerPool`] — threads spawned once and parked
-//!   between engine runs (the pool's job protocol preserves the
-//!   engine's band/barrier schedule exactly, so results stay
-//!   byte-identical for every thread count);
 //! - an [`EnginePool`] keyed by submesh shape, so repeated stages reuse
-//!   engines and their per-node queue buffers;
+//!   engines and their per-node queue buffers; every checkout carries
+//!   the context's thread count;
 //! - the columnsort [`RouteMemo`] for the route costs the committed
 //!   table lacks, moved off globals so concurrent simulations neither
 //!   contend nor cross-pollinate;
 //! - a [`CostLedger`] that decides analytic-vs-measured charging in one
 //!   place (the only caller of [`SortCost::charged`]).
+//!
+//! A context owns no threads: a multi-threaded engine spawns its band
+//! workers for one run and joins them before the run returns.
 //!
 //! Every sort goes through [`ExecCtx::sort_pairs`]: the caller hands
 //! over `(snake position, key)` pairs for a submesh and gets a
@@ -37,13 +36,12 @@
 //! pass them to [`ExecCtx::new`] (or `SimConfig`). Reusing one context
 //! across steps only moves wall clock: a simulation that swaps in a
 //! fresh [`ExecCtx::new`] before every step produces byte-identical
-//! output. No process-wide state backs a context — a multi-threaded
-//! engine built outside one owns its worker pool.
+//! output. No process-wide state backs a context.
 
-use std::sync::Arc;
+#![forbid(unsafe_code)]
 
 use prasim_mesh::engine::Engine;
-use prasim_mesh::pool::{EnginePool, WorkerPool};
+use prasim_mesh::pool::EnginePool;
 use prasim_mesh::topology::MeshShape;
 use prasim_sortnet::columnsort::RouteMemo;
 use prasim_sortnet::key::Key;
@@ -106,15 +104,14 @@ impl CostLedger {
     }
 }
 
-/// The per-simulation execution context: worker pool, engine pool,
-/// sorter resources and cost ledger, owned together and
+/// The per-simulation execution context: engine pool, sorter resources
+/// and cost ledger, owned together and
 /// borrowed (`&mut ExecCtx`) by every execution layer instead of
 /// drilling individual knobs.
 #[derive(Debug)]
 pub struct ExecCtx {
     threads: usize,
     sorter: Sorter,
-    pool: Arc<WorkerPool>,
     engines: EnginePool,
     ledger: CostLedger,
     memo: RouteMemo,
@@ -128,18 +125,17 @@ impl Default for ExecCtx {
 }
 
 impl ExecCtx {
-    /// A context with explicit knobs and fresh pools.
+    /// A context with explicit knobs and an empty engine pool.
     pub fn new(threads: usize, sorter: Sorter, analytic: bool) -> Self {
-        let (threads, pool) = (threads.max(1), Arc::new(WorkerPool::new()));
+        let threads = threads.max(1);
         // Every engine the pool hands out — including the ones columnsort
         // checks out for its route measurements — runs on the context's
-        // thread count and worker pool.
+        // thread count.
         let mut engines = EnginePool::new();
-        engines.configure(threads, Arc::clone(&pool));
+        engines.configure(threads);
         ExecCtx {
             threads,
             sorter,
-            pool,
             engines,
             ledger: CostLedger::new(analytic),
             memo: RouteMemo::new(),
@@ -166,13 +162,8 @@ impl ExecCtx {
         &mut self.ledger
     }
 
-    /// The shared worker pool handed to checked-out engines.
-    pub fn worker_pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
     /// The engine pool (for direct checkout/recycle bookkeeping). Its
-    /// engines carry the context's thread count and worker pool.
+    /// engines carry the context's thread count.
     pub fn engine_pool(&mut self) -> &mut EnginePool {
         &mut self.engines
     }
@@ -184,7 +175,7 @@ impl ExecCtx {
     }
 
     /// Checks out an engine on `shape`, configured with the context's
-    /// thread count and persistent worker pool. Return it with
+    /// thread count. Return it with
     /// [`ExecCtx::recycle`] when the stage is done.
     pub fn engine(&mut self, shape: MeshShape) -> Engine {
         self.engines.checkout(shape)
@@ -242,6 +233,25 @@ impl ExecCtx {
     // Kept only for stepbench/src/traced.rs, its one caller.
     #[doc(hidden)]
     pub fn maybe_renew(&mut self) {}
+
+    // Kept only for stepbench/src/main.rs, its one caller: a context
+    // owns no worker threads, so the count it reads is always 0.
+    #[doc(hidden)]
+    pub fn worker_pool(&self) -> NoWorkers {
+        NoWorkers
+    }
+}
+
+// The value `ExecCtx::worker_pool` returns; see there.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct NoWorkers;
+
+impl NoWorkers {
+    #[doc(hidden)]
+    pub fn spawned(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

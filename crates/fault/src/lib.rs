@@ -18,6 +18,8 @@
 //!   detectably unrecoverable, or silently wrong — the last class must
 //!   stay empty for the simulation to count as a legal EREW PRAM.
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod plan;
 

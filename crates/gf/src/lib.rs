@@ -31,6 +31,8 @@
 //! assert_eq!(f9.add(a, f9.neg(a)), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod field;
 pub mod poly;
 pub mod primes;

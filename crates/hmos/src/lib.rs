@@ -29,6 +29,8 @@
 //! assert!(hmos.shape().contains(copy.node));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod params;
 pub mod scheme;
 pub mod target;

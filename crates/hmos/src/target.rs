@@ -116,23 +116,25 @@ impl TargetSpec {
     /// Whether the leaf set grants (extensive-at-`ext_level`) access to
     /// the root. Leaves are indices in `[0, q^k)` with the level-1 branch
     /// as the least-significant base-`q` digit (matching
-    /// [`crate::scheme::CopyAddr::leaf_index`]).
-    pub fn is_level_target(&self, leaves: &[u64], ext_level: u32) -> bool {
-        let mut present = vec![false; self.num_leaves() as usize];
-        for &l in leaves {
-            present[l as usize] = true;
-        }
-        self.accessed(&present, 0, 0, ext_level)
+    /// [`crate::scheme::CopyAddr::leaf_index`]); repeats count once.
+    /// Sorts `leaves` in place and looks each leaf of `T_v` up by binary
+    /// search, so a call allocates nothing.
+    pub fn is_level_target(&self, leaves: &mut [u64], ext_level: u32) -> bool {
+        leaves.sort_unstable();
+        self.accessed(&|l| leaves.binary_search(&l).is_ok(), 0, 0, ext_level)
     }
 
-    /// Plain (Definition 2) target-set test.
-    pub fn is_target(&self, leaves: &[u64]) -> bool {
+    /// Plain (Definition 2) target-set test; sorts `leaves` in place.
+    pub fn is_target(&self, leaves: &mut [u64]) -> bool {
         self.is_level_target(leaves, self.k)
     }
 
-    fn accessed(&self, present: &[bool], depth: u32, prefix: u64, ext_level: u32) -> bool {
+    fn accessed<F>(&self, present: &F, depth: u32, prefix: u64, ext_level: u32) -> bool
+    where
+        F: Fn(u64) -> bool,
+    {
         if depth == self.k {
-            return present[prefix as usize];
+            return present(prefix);
         }
         let stride = self.q.pow(depth);
         let mut count = 0usize;
@@ -195,37 +197,28 @@ impl TargetSpec {
     /// nothing — stale, corrupted, or too few — can at worst *taint* the
     /// result by exhibiting a timestamp above the certified one, which
     /// callers surface as a detected (never silent) anomaly.
-    pub fn resolve_majority(&self, reports: &[CopyReport]) -> QuorumRead {
-        if reports.is_empty() {
+    ///
+    /// Sorts `reports` in place into its groups, freshest pair first and
+    /// each group's leaves ascending, so a call allocates nothing.
+    pub fn resolve_majority(&self, reports: &mut [CopyReport]) -> QuorumRead {
+        use std::cmp::Reverse;
+        reports.sort_unstable_by_key(|r| (Reverse(r.ts), Reverse(r.value), r.leaf));
+        let Some(max_ts_seen) = reports.first().map(|r| r.ts) else {
             return QuorumRead::Unrecoverable;
-        }
-        // Group identical (ts, value) pairs, keeping their support sets.
-        let mut groups: Vec<((u64, u64), Vec<u64>)> = Vec::new();
-        for r in reports {
-            match groups.iter_mut().find(|(p, _)| *p == (r.ts, r.value)) {
-                Some((_, leaves)) => leaves.push(r.leaf),
-                None => groups.push(((r.ts, r.value), vec![r.leaf])),
-            }
-        }
+        };
         // Try pairs freshest-first; the first certified pair wins.
-        groups.sort_by_key(|g| std::cmp::Reverse(g.0));
-        let max_ts_seen = groups[0].0 .0;
-        for ((ts, value), leaves) in &groups {
+        for group in reports.chunk_by(|a, b| (a.ts, a.value) == (b.ts, b.value)) {
             // Cheap lower bound before the tree walk.
-            if (leaves.len() as u64) < self.forgery_threshold() {
+            if (group.len() as u64) < self.forgery_threshold() {
                 continue;
             }
-            if self.is_target(leaves) {
-                return if *ts == max_ts_seen {
-                    QuorumRead::Value {
-                        ts: *ts,
-                        value: *value,
-                    }
+            let present = |l| group.binary_search_by_key(&l, |r| r.leaf).is_ok();
+            if self.accessed(&present, 0, 0, self.k) {
+                let (ts, value) = (group[0].ts, group[0].value);
+                return if ts == max_ts_seen {
+                    QuorumRead::Value { ts, value }
                 } else {
-                    QuorumRead::Tainted {
-                        ts: *ts,
-                        value: *value,
-                    }
+                    QuorumRead::Tainted { ts, value }
                 };
             }
         }
@@ -325,16 +318,16 @@ mod tests {
                     s.minimal_size(ext),
                     "q={q} k={k} ext={ext}"
                 );
-                assert!(s.is_level_target(&set, ext));
+                assert!(s.is_level_target(&mut set.clone(), ext));
                 // A minimal level-i target set contains a target set
                 // (paper, Section 3.2).
-                assert!(s.is_target(&set));
+                assert!(s.is_target(&mut set.clone()));
                 // Removing any leaf breaks level-ext access (minimality).
                 for drop in 0..set.len() {
                     let mut fewer = set.clone();
                     fewer.remove(drop);
                     assert!(
-                        !s.is_level_target(&fewer, ext),
+                        !s.is_level_target(&mut fewer.clone(), ext),
                         "set minus leaf {drop} still a level-{ext} target"
                     );
                 }
@@ -349,7 +342,7 @@ mod tests {
         // level-1 branch digit): root still has 2 of 3 children = majority.
         let set = s.extract_minimal(s.k, |l| l % 3 != 0, |_| 0).unwrap();
         assert!(set.iter().all(|l| l % 3 != 0));
-        assert!(s.is_target(&set));
+        assert!(s.is_target(&mut set.clone()));
         // Block two root children: majority 2 unreachable.
         assert!(s.extract_minimal(s.k, |l| l % 3 == 2, |_| 0).is_none());
     }
@@ -412,8 +405,8 @@ mod tests {
                     .extract_minimal(ext, |l| (l ^ seed) % 7 != 0 || ext == 0, |l| l % 5)
                     .or_else(|| s.extract_minimal(ext, |_| true, |l| l % 5))
                     .unwrap();
-                if s.is_level_target(&set, ext) {
-                    assert!(s.is_target(&set));
+                if s.is_level_target(&mut set.clone(), ext) {
+                    assert!(s.is_target(&mut set.clone()));
                 }
             }
         }
@@ -483,10 +476,10 @@ mod tests {
     fn unanimous_reports_certify() {
         let s = TargetSpec { q: 3, k: 2 };
         assert_eq!(
-            s.resolve_majority(&unanimous(&s, 7, 42)),
+            s.resolve_majority(&mut unanimous(&s, 7, 42)),
             QuorumRead::Value { ts: 7, value: 42 }
         );
-        assert_eq!(s.resolve_majority(&[]), QuorumRead::Unrecoverable);
+        assert_eq!(s.resolve_majority(&mut []), QuorumRead::Unrecoverable);
     }
 
     #[test]
@@ -504,7 +497,7 @@ mod tests {
                     r.ts = 900 + variant * 50 + i as u64;
                     r.value = 31_337 + i as u64;
                 }
-                match s.resolve_majority(&reports) {
+                match s.resolve_majority(&mut reports.clone()) {
                     QuorumRead::Tainted {
                         ts: 10,
                         value: 1000,
@@ -518,7 +511,7 @@ mod tests {
                 // Same bound for missing replies instead of corrupt ones.
                 let reached = unanimous(&s, 10, 1000).split_off(f);
                 assert_eq!(
-                    s.resolve_majority(&reached),
+                    s.resolve_majority(&mut reached.clone()),
                     QuorumRead::Value {
                         ts: 10,
                         value: 1000
@@ -543,7 +536,10 @@ mod tests {
                 value: 666 + leaf,
             });
         }
-        assert_eq!(s.resolve_majority(&reports), QuorumRead::Unrecoverable);
+        assert_eq!(
+            s.resolve_majority(&mut reports.clone()),
+            QuorumRead::Unrecoverable
+        );
     }
 
     #[test]
@@ -563,11 +559,14 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            s.resolve_majority(&reports),
+            s.resolve_majority(&mut reports.clone()),
             QuorumRead::Value { ts: 99, value: 7 }
         );
         reports.pop();
-        assert_eq!(s.resolve_majority(&reports), QuorumRead::Unrecoverable);
+        assert_eq!(
+            s.resolve_majority(&mut reports.clone()),
+            QuorumRead::Unrecoverable
+        );
     }
 
     #[test]
@@ -595,7 +594,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            s.resolve_majority(&reports),
+            s.resolve_majority(&mut reports.clone()),
             QuorumRead::Value { ts: 5, value: 50 }
         );
         // Both {0,1} (fresh) and {1,2}∪{0} (stale) are target sets; the
@@ -618,7 +617,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            s.resolve_majority(&overlapping),
+            s.resolve_majority(&mut overlapping.clone()),
             QuorumRead::Value { ts: 5, value: 50 }
         );
     }

@@ -99,11 +99,11 @@ proptest! {
         let n = spec.num_leaves();
         let tol = spec.fault_tolerance();
         let dead = pick_leaves(n, mix(seed) % tol, seed);
-        let reports: Vec<CopyReport> = (0..n)
+        let mut reports: Vec<CopyReport> = (0..n)
             .filter(|l| !dead.contains(l))
             .map(|leaf| CopyReport { leaf, ts: TS_OLD, value: VAL })
             .collect();
-        match spec.resolve_majority(&reports) {
+        match spec.resolve_majority(&mut reports) {
             QuorumRead::Value { ts, value } => {
                 prop_assert_eq!(ts, TS_OLD);
                 prop_assert_eq!(value, VAL);
@@ -130,8 +130,8 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(dead.len() as u64, spec.fault_tolerance());
-        let alive: Vec<u64> = (0..spec.num_leaves()).filter(|l| !dead.contains(l)).collect();
-        prop_assert!(!spec.is_target(&alive));
+        let mut alive: Vec<u64> = (0..spec.num_leaves()).filter(|l| !dead.contains(l)).collect();
+        prop_assert!(!spec.is_target(&mut alive));
         prop_assert!(spec.extract_minimal(spec.k, |l| !dead.contains(&l), |_| 0).is_none());
     }
 
@@ -148,7 +148,7 @@ proptest! {
         let n = spec.num_leaves();
         let count = n * percent / 100;
         let bad = pick_leaves(n, count, seed);
-        let reports: Vec<CopyReport> = (0..n)
+        let mut reports: Vec<CopyReport> = (0..n)
             .map(|leaf| {
                 if bad.contains(&leaf) {
                     // Distinct forged pair per corrupt cell (mix is a
@@ -159,7 +159,7 @@ proptest! {
                 }
             })
             .collect();
-        let out = spec.resolve_majority(&reports);
+        let out = spec.resolve_majority(&mut reports);
         if let Some(v) = out.value() {
             prop_assert_eq!(v, VAL, "{:?} certified garbage with {} corrupt", spec, count);
         }
@@ -183,7 +183,7 @@ proptest! {
         let n = spec.num_leaves();
         let count = mix(seed) % spec.forgery_threshold();
         let bad = pick_leaves(n, count, seed ^ 3);
-        let reports: Vec<CopyReport> = (0..n)
+        let mut reports: Vec<CopyReport> = (0..n)
             .map(|leaf| {
                 if bad.contains(&leaf) {
                     CopyReport { leaf, ts: TS_FORGED, value: FORGED }
@@ -192,7 +192,7 @@ proptest! {
                 }
             })
             .collect();
-        prop_assert_ne!(spec.resolve_majority(&reports).value(), Some(FORGED));
+        prop_assert_ne!(spec.resolve_majority(&mut reports).value(), Some(FORGED));
     }
 
     /// The forgery threshold is tight: colluders occupying exactly one
@@ -205,7 +205,7 @@ proptest! {
             .extract_minimal(spec.k, |_| true, |l| mix(seed ^ l) >> 8)
             .unwrap();
         prop_assert_eq!(colluders.len() as u64, spec.forgery_threshold());
-        let reports: Vec<CopyReport> = (0..spec.num_leaves())
+        let mut reports: Vec<CopyReport> = (0..spec.num_leaves())
             .map(|leaf| {
                 if colluders.contains(&leaf) {
                     CopyReport { leaf, ts: TS_FORGED, value: FORGED }
@@ -214,6 +214,6 @@ proptest! {
                 }
             })
             .collect();
-        prop_assert_eq!(spec.resolve_majority(&reports).value(), Some(FORGED));
+        prop_assert_eq!(spec.resolve_majority(&mut reports).value(), Some(FORGED));
     }
 }

@@ -61,7 +61,9 @@
 //! per-node transition plus nearest-neighbor exchange. [`Engine`] exploits
 //! this by splitting the rows into contiguous **bands**, one per worker
 //! thread ([`Engine::with_threads`]), and running each step as two
-//! barrier-separated half-steps:
+//! barrier-separated half-steps. The workers are scoped threads that
+//! live for one [`Engine::run`]: each owns its band's lane and trace
+//! slice for the run, and the calling thread frames the steps.
 //!
 //! 1. **compute** — every band picks its winners (farthest-first link
 //!    arbitration), removes them from its own queue windows and appends
@@ -93,12 +95,11 @@
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::fault::FaultMask;
-use crate::pool::WorkerPool;
 use crate::region::Rect;
 use crate::topology::{Coord, Dir, MeshShape};
 use crate::trace::LinkTrace;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
 /// A packet in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -656,11 +657,6 @@ pub struct Engine {
     /// Worker threads the step loop shards its rows across (1 =
     /// sequential). Never changes the results, only the wall clock.
     threads: usize,
-    /// The persistent worker pool the sharded step loop borrows its
-    /// threads from: an execution context's, installed at checkout, or
-    /// else one the engine builds on its first sharded run and drops
-    /// with itself.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl Engine {
@@ -685,7 +681,6 @@ impl Engine {
             trace: None,
             faults: None,
             threads: 1,
-            pool: None,
         }
     }
 
@@ -738,14 +733,6 @@ impl Engine {
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Borrows worker threads from `pool` instead of building a pool of
-    /// its own. Execution contexts install theirs here so every engine
-    /// they hand out shares one parked thread set, and concurrent
-    /// simulations never contend on one.
-    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
     }
 
     /// Installs a fault mask for this run. Must be called before any
@@ -832,8 +819,8 @@ impl Engine {
     /// Runs until every packet is delivered or the budget is exhausted.
     /// Returns the stats accumulated by this run (also kept in
     /// [`Engine::stats`]). With more than one configured thread the rows
-    /// are sharded across a persistent worker pool; the outcome is
-    /// byte-identical either way.
+    /// are sharded across worker threads that live for this run only;
+    /// the outcome is byte-identical either way.
     pub fn run(&mut self, max_steps: u64) -> Result<EngineStats, EngineError> {
         let bands = self.threads.max(1).min(self.shape.rows as usize).max(1);
         self.layout(bands);
@@ -1020,75 +1007,44 @@ impl Engine {
         self.absorb(true);
     }
 
-    /// The sharded step loop: `bands` workers borrowed from the
-    /// persistent [`WorkerPool`] (the context's, or the engine's own,
-    /// built here on the first sharded run), exchanging moves through the
-    /// engine-persistent handoff ring (module docs explain why the result
-    /// is byte-identical to [`Engine::step`]). After that first run no
-    /// threads are spawned and no warm buffers are reallocated here — the
-    /// pool parks its workers between runs and every queue swap reuses
-    /// capacity.
+    /// The sharded step loop: one scoped worker thread per band, spawned
+    /// for this run and joined before it returns, exchanging moves
+    /// through the engine-persistent handoff ring (module docs explain
+    /// why the result is byte-identical to [`Engine::step`]). Each worker
+    /// owns its lane and its slice of the trace; the coordinator frames
+    /// the steps on the calling thread. No warm buffer is reallocated
+    /// here — every queue swap reuses capacity.
     fn run_parallel(&mut self, max_steps: u64, bands: usize) -> Result<EngineStats, EngineError> {
-        let pool = Arc::clone(self.pool.get_or_insert_with(|| Arc::new(WorkerPool::new())));
-        let shape = self.shape;
-        let cols = shape.cols;
-
         // Split the borrows field by field so the workers can own their
         // lanes while the coordinator keeps the counters.
-        let faults = self.faults.as_ref();
-        let arena = &self.arena;
-        let stats = &mut self.stats;
-        let delivered_all = &mut self.delivered;
-        let in_flight = &mut self.in_flight;
-        let node_starts = &self.node_starts;
-        let row_band = &self.row_band;
-        let handoff = &self.handoff;
-        let step_out = &self.step_out;
-        let mut band_trace: Vec<Option<&mut [[u64; 4]]>> = match self.trace.as_mut() {
-            None => (0..bands).map(|_| None).collect(),
-            Some(t) => {
-                let mut v = Vec::with_capacity(bands);
-                let mut rest: &mut [[u64; 4]] = t.counts_mut();
-                for b in 0..bands {
-                    let (head, tail) =
-                        rest.split_at_mut((node_starts[b + 1] - node_starts[b]) as usize);
-                    v.push(Some(head));
-                    rest = tail;
-                }
-                v
-            }
-        };
+        let Engine {
+            shape,
+            arena,
+            lanes,
+            node_starts,
+            row_band,
+            handoff,
+            step_out,
+            delivered: delivered_all,
+            in_flight,
+            stats,
+            trace,
+            faults,
+            ..
+        } = self;
+        let (shape, faults) = (*shape, faults.as_ref());
+        let (arena, row_band, handoff, step_out) = (&*arena, &*row_band, &*handoff, &*step_out);
 
         // `barrier_all` frames a step (coordinator + workers); the
         // workers-only barrier separates the compute and apply
         // half-steps so no handoff slot is drained before it is full.
-        let barrier_all = Barrier::new(bands + 1);
-        let barrier_workers = Barrier::new(bands);
-        let stop = AtomicBool::new(false);
+        let barrier_all = &Barrier::new(bands + 1);
+        let barrier_workers = &Barrier::new(bands);
+        let stop = &AtomicBool::new(false);
         let start_step = stats.steps;
-        let barrier_all = &barrier_all;
-        let barrier_workers = &barrier_workers;
-        let stop = &stop;
 
-        // The pool job closure is one `Fn(usize)` shared by every
-        // worker, so each band's exclusive state is parked in a slot the
-        // owning worker takes on entry.
-        type BandState<'a> = (&'a mut Lane, Option<&'a mut [[u64; 4]]>);
-        let band_state: Vec<Mutex<Option<BandState<'_>>>> = self
-            .lanes
-            .iter_mut()
-            .zip(band_trace.drain(..))
-            .map(|(lane, trace)| Mutex::new(Some((lane, trace))))
-            .collect();
-        let band_state = &band_state;
-
-        let worker = move |b: usize| {
-            let (lane, mut trace) = band_state[b]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("band state taken once per run");
-            let band_of = |idx: u32| row_band[(idx / cols) as usize];
+        let worker = |b: usize, lane: &mut Lane, mut trace: Option<&mut [[u64; 4]]>| {
+            let band_of = |idx: u32| row_band[(idx / shape.cols) as usize];
             let mut step = start_step;
             loop {
                 barrier_all.wait();
@@ -1132,35 +1088,48 @@ impl Engine {
                 barrier_all.wait();
             }
         };
-        // Coordinator (on the calling thread): frame the steps and fold
-        // the per-band deltas in band order (= node order) after each
-        // one. `WorkerPool::run` returns only after every band worker
-        // has left the loop, so the borrowed band state cannot escape.
-        pool.run(bands, &worker, move || loop {
-            if *in_flight == 0 {
-                stop.store(true, Ordering::Release);
-                barrier_all.wait();
-                return Ok(*stats);
-            }
-            if stats.steps >= max_steps {
-                stop.store(true, Ordering::Release);
-                barrier_all.wait();
-                return Err(EngineError::StepBudgetExceeded {
-                    max_steps,
-                    in_flight: *in_flight,
+        let worker = &worker;
+
+        std::thread::scope(|s| {
+            let mut trace_rest = trace.as_mut().map(LinkTrace::counts_mut);
+            for (b, lane) in lanes.iter_mut().enumerate() {
+                let band_trace = trace_rest.take().map(|t| {
+                    let (head, tail) =
+                        t.split_at_mut((node_starts[b + 1] - node_starts[b]) as usize);
+                    trace_rest = Some(tail);
+                    head
                 });
+                s.spawn(move || worker(b, lane, band_trace));
             }
-            barrier_all.wait(); // release the workers into the step
-            barrier_all.wait(); // wait for every band to finish
-            stats.steps += 1;
-            for slot in step_out.iter() {
-                let mut out = slot.lock().unwrap();
-                stats.total_hops += out.hops;
-                stats.dropped += out.dropped;
-                stats.delivered += out.delivered.len() as u64;
-                stats.max_queue = stats.max_queue.max(out.max_queue);
-                *in_flight -= out.dropped + out.delivered.len() as u64;
-                delivered_all.append(&mut out.delivered);
+            // Coordinator: frame the steps and fold the per-band deltas
+            // in band order (= node order) after each one. The scope
+            // joins every band worker once it has left the loop.
+            loop {
+                if *in_flight == 0 {
+                    stop.store(true, Ordering::Release);
+                    barrier_all.wait();
+                    return Ok(*stats);
+                }
+                if stats.steps >= max_steps {
+                    stop.store(true, Ordering::Release);
+                    barrier_all.wait();
+                    return Err(EngineError::StepBudgetExceeded {
+                        max_steps,
+                        in_flight: *in_flight,
+                    });
+                }
+                barrier_all.wait(); // release the workers into the step
+                barrier_all.wait(); // wait for every band to finish
+                stats.steps += 1;
+                for slot in step_out.iter() {
+                    let mut out = slot.lock().unwrap();
+                    stats.total_hops += out.hops;
+                    stats.dropped += out.dropped;
+                    stats.delivered += out.delivered.len() as u64;
+                    stats.max_queue = stats.max_queue.max(out.max_queue);
+                    *in_flight -= out.dropped + out.delivered.len() as u64;
+                    delivered_all.append(&mut out.delivered);
+                }
             }
         })
     }

@@ -19,9 +19,9 @@
 //! - [`fault`]: static fault masks — dead nodes, severed and lossy links —
 //!   consulted by the engine to divert or drop packets deterministically,
 //!   stored as dense bitsets.
-//! - [`pool`]: persistent worker threads (parked between runs, no
-//!   per-run spawn/join) and shape-keyed engine reuse, owned by an
-//!   execution context rather than rebuilt per step.
+//! - [`pool`]: shape-keyed engine reuse, owned by an execution context
+//!   rather than rebuilt per step. The sharded engine's band workers are
+//!   not pooled: they are scoped threads that live for one run.
 //!
 //! The engine is pinned at every thread count to a sequential textbook
 //! oracle, one `Vec` queue per node, in `tests/engine_oracle.rs`.
@@ -45,6 +45,8 @@
 //! assert_eq!(stats.steps, 14); // Manhattan distance, no contention
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod engine;
 pub mod fault;
@@ -56,7 +58,7 @@ pub mod trace;
 pub use arena::{PacketArena, PacketRef};
 pub use engine::{Engine, EngineStats, Packet};
 pub use fault::FaultMask;
-pub use pool::{EnginePool, WorkerPool};
+pub use pool::EnginePool;
 pub use region::{Rect, Tessellation};
 pub use topology::{Coord, MeshShape};
 pub use trace::LinkTrace;

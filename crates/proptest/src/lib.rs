@@ -14,6 +14,8 @@
 //!
 //! [`proptest`]: https://docs.rs/proptest
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};

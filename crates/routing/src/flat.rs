@@ -35,7 +35,7 @@ pub fn route_flat(
         shape.rows,
         shape.cols,
     );
-    out.add_sort(sorted.cost.steps);
+    out.add_sort(ctx.ledger_mut().charge(&sorted.cost));
 
     // Greedy route from post-sort positions.
     let mut engine = ctx.engine(shape);
@@ -65,6 +65,7 @@ mod tests {
     use super::*;
     use crate::greedy::route_greedy;
     use prasim_mesh::topology::MeshShape;
+    use prasim_sortnet::Sorter;
 
     #[test]
     fn flat_routes_permutation() {
@@ -73,6 +74,26 @@ mod tests {
         let out = route_flat(&inst, 100_000, &mut ExecCtx::default()).unwrap();
         assert_eq!(out.delivered, 64);
         assert!(out.sort_steps > 0);
+    }
+
+    #[test]
+    fn analytic_context_charges_the_sort_analytically() {
+        let shape = MeshShape::square(8);
+        let inst = RoutingInstance::random(shape, 2, 5);
+        let mut ctx = ExecCtx::new(1, Sorter::default(), true);
+        let out = route_flat(&inst, 100_000, &mut ctx).unwrap();
+        // The same sort on a measured context.
+        let sorted = ExecCtx::default().sort_pairs(
+            inst.pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, d))| (snake_pos(shape, s), (snake_pos(shape, d), i as u64))),
+            shape.rows,
+            shape.cols,
+        );
+        assert_ne!(sorted.cost.analytic_steps, sorted.cost.steps);
+        assert_eq!(out.sort_steps, sorted.cost.analytic_steps);
+        assert_eq!(ctx.ledger().charged_steps(), out.sort_steps);
     }
 
     #[test]

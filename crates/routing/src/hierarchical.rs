@@ -18,6 +18,7 @@ use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::{Rect, Tessellation};
 use prasim_mesh::topology::Coord;
 use prasim_sortnet::rank::rank_sorted;
+use prasim_sortnet::shearsort::SortCost;
 use prasim_sortnet::snake::{snake_coord, snake_index, snake_pos};
 
 /// Errors from hierarchical routing.
@@ -76,11 +77,11 @@ pub fn route_hierarchical(
         shape.rows,
         shape.cols,
     );
-    out.add_sort(sorted.cost.steps);
+    out.add_sort(ctx.ledger_mut().charge(&sorted.cost));
 
     // Rank within destination-submesh groups.
     let (ranks, rank_cost) = rank_sorted(&sorted, |&(key, _)| key / shape.nodes());
-    out.add_sort(rank_cost.steps);
+    out.add_sort(ctx.ledger_mut().charge(&rank_cost));
 
     // ---- Step 3: spread into destination submeshes (rank i -> slot i mod m).
     let mut engine = ctx.engine(shape);
@@ -127,8 +128,13 @@ pub fn route_hierarchical(
         .zip(part_pairs)
         .map(|(rect, pairs)| ctx.sort_pairs(pairs, rect.rows, rect.cols))
         .collect();
-    let max_local_sort = part_sorted.iter().map(|s| s.cost.steps).max().unwrap_or(0);
-    out.add_sort(max_local_sort);
+    let mut max_local_sort = SortCost::default();
+    for sorted in &part_sorted {
+        if ctx.ledger().value(&sorted.cost) > ctx.ledger().value(&max_local_sort) {
+            max_local_sort = sorted.cost;
+        }
+    }
+    out.add_sort(ctx.ledger_mut().charge(&max_local_sort));
 
     // Final local routes, all parts simultaneously in one engine run.
     let mut engine = ctx.engine(shape);

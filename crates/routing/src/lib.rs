@@ -32,6 +32,8 @@
 //! assert_eq!(out.delivered, 64);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod cost;
 pub mod flat;

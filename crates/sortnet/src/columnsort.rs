@@ -464,10 +464,6 @@ fn columnsort_with_table<K: Ord + Copy>(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use prasim_mesh::pool::WorkerPool;
-
     use super::*;
     use crate::key::Key;
     use crate::shearsort::shearsort_flat;
@@ -649,7 +645,7 @@ mod tests {
         assert_eq!(sample.len(), 5);
         for threads in [1, 2] {
             let mut engines = EnginePool::new();
-            engines.configure(threads, Arc::new(WorkerPool::new()));
+            engines.configure(threads);
             for &(key @ (rows, cols, h), costs) in &sample {
                 let got = route_costs(rows, cols, h as usize, &mut engines);
                 assert_eq!(got, Some(costs), "{key:?} at {threads} threads");

@@ -52,6 +52,8 @@
 //! assert!(sorted.cost.steps > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod broadcast;
 pub mod columnsort;
 pub mod key;

@@ -9,14 +9,16 @@
 //! - [`mesh`]: the mesh-connected computer (topology, packet engine,
 //!   tessellations).
 //! - [`sortnet`]: deterministic mesh sorting and ranking.
-//! - [`exec`]: the shared execution context (persistent worker pool,
-//!   engine pool, sorter resources, unified cost ledger).
+//! - [`exec`]: the shared execution context (engine pool, sorter
+//!   resources, unified cost ledger).
 //! - [`routing`]: `(l1,l2)`- and `(l1,l2,δ,m)`-routing.
 //! - [`hmos`]: the Hierarchical Memory Organization Scheme.
 //! - [`fault`]: deterministic fault injection and the PRAM-consistency
 //!   trace checker.
 //! - [`core`]: the PRAM step simulation (CULLING + access protocol) and
 //!   baseline schemes.
+
+#![forbid(unsafe_code)]
 
 pub use prasim_bibd as bibd;
 pub use prasim_core as core;

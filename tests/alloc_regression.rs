@@ -15,10 +15,11 @@
 //! with an exact allocation count. The same holds for
 //! `Hmos::resolve_all`, which CULLING calls for every request of every
 //! step: once its output buffer has the capacity, it allocates nothing.
+//! CULLING and a quorum read's access protocol are held to a small
+//! number of allocations per requesting processor.
 //!
-//! Parallel runs are allowed a small *per-run* setup cost (the
-//! band-state parking slots and trace partitions are built per run
-//! because they borrow the engine), so the parallel test pins down the
+//! Parallel runs are allowed a small *per-run* setup cost (each run
+//! spawns its scoped band threads), so the parallel test pins down the
 //! sharper invariant: the allocation count of a warm parallel run is
 //! independent of how many steps the run executes. If the step loop
 //! itself allocated, a workload with more steps would allocate more.
@@ -27,10 +28,15 @@
 //! engine's worker threads count too. The test harness runs tests on
 //! parallel threads, though, so each test holds [`SERIAL`] for its
 //! whole body: otherwise one test's measurement window would count the
-//! other test's allocations.
+//! other test's allocations. The harness itself also allocates when a
+//! test finishes (its thread sends the result; the main thread records
+//! it in a growing list), so [`serialize`] lets that bookkeeping settle
+//! before the next test starts counting.
 
-use prasim::core::culling::cull_with;
+use prasim::core::culling::{cull_with, select_all};
+use prasim::core::protocol::{access_protocol, Cell};
 use prasim::core::workload;
+use prasim::core::{ReadPolicy, RunOptions};
 use prasim::exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams};
 use prasim_mesh::engine::{Engine, Packet};
@@ -38,6 +44,7 @@ use prasim_mesh::fault::FaultMask;
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, Dir, MeshShape};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -78,7 +85,12 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
     // A failed test poisons the lock; the other test still runs alone.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The previous holder's thread and the harness are still recording
+    // that test's result; their allocations must not land in this
+    // test's window.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    guard
 }
 
 /// Deterministic SplitMix64 finalizer (same shape the engine benches
@@ -246,8 +258,8 @@ fn parallel_run_allocations_are_step_count_independent() {
         long_steps >= short_steps + 30,
         "workloads must differ in step count ({short_steps} vs {long_steps})"
     );
-    // The per-run setup (band-state slots, barrier frame) may allocate
-    // a constant amount; the step loop may not allocate at all.
+    // The per-run setup (spawning the band threads) may allocate a
+    // constant amount; the step loop may not allocate at all.
     assert_eq!(
         short_allocs, long_allocs,
         "a {long_steps}-step warm run must allocate exactly as much as \
@@ -306,6 +318,61 @@ fn warm_cull_with_allocates_little_per_request() {
         assert!(
             per_request <= 8.0,
             "a warm cull_with at n = {n} made {} allocations, {per_request:.1} per request",
+            after - before
+        );
+    }
+}
+
+#[test]
+fn warm_quorum_read_allocates_at_most_once_per_reader() {
+    let _alone = serialize();
+    for n in [1024u64, 4096] {
+        let hmos = Hmos::new(HmosParams::new(3, 2, n, 40_000).unwrap()).unwrap();
+        let vars = workload::random_distinct(n, hmos.num_variables(), 3);
+        let requests: Vec<Option<u64>> = vars.iter().copied().map(Some).collect();
+        // Quorum reads bypass CULLING: every copy of every request.
+        let selected = select_all(&hmos, &requests).selected;
+        let mut memory: Vec<HashMap<u64, Cell>> = vec![HashMap::new(); n as usize];
+        let mut ctx = ExecCtx::default();
+        let quorum = |clock| RunOptions::new(clock).with_policy(ReadPolicy::HierarchicalMajority);
+        let write = workload::write_step(&vars, 7);
+        let read = workload::read_step(&vars);
+        access_protocol(
+            &hmos,
+            &mut memory,
+            &write.ops,
+            &selected,
+            &quorum(1),
+            &mut ctx,
+        )
+        .unwrap();
+        access_protocol(
+            &hmos,
+            &mut memory,
+            &read.ops,
+            &selected,
+            &quorum(2),
+            &mut ctx,
+        )
+        .unwrap();
+
+        let before = allocations();
+        let res = access_protocol(
+            &hmos,
+            &mut memory,
+            &read.ops,
+            &selected,
+            &quorum(3),
+            &mut ctx,
+        )
+        .unwrap();
+        let after = allocations();
+
+        assert!((7..).zip(&res.reads).all(|(value, r)| *r == Some(value)));
+        let per_reader = (after - before) as f64 / n as f64;
+        assert!(
+            per_reader <= 1.0,
+            "a warm quorum read at n = {n} made {} allocations, {per_reader:.2} per reader",
             after - before
         );
     }

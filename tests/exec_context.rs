@@ -1,8 +1,8 @@
 //! Execution-context equivalence and isolation.
 //!
 //! The tentpole guarantee of the `prasim-exec` layer: a long-lived
-//! [`ExecCtx`] — persistent worker pool, recycled engines, warm route
-//! memo, reused scratch arenas — is a pure wall-clock optimization.
+//! [`ExecCtx`] — recycled engines, warm route memo, reused scratch
+//! arenas — is a pure wall-clock optimization.
 //! Every observable of a simulation step (reads, outcomes, culling and
 //! protocol step counts, trace reports) must be byte-identical to a run
 //! that rebuilds the whole context from scratch at every step boundary,
@@ -59,8 +59,8 @@ fn transcript(sim: &mut PramMeshSim, steps: &[PramStep], fresh_per_step: bool) -
     let mut out = Vec::new();
     for step in steps {
         if fresh_per_step {
-            // Every step starts from a new context: worker pool, engines,
-            // memo and arenas rebuilt from nothing.
+            // Every step starts from a new context: engines, memo and
+            // arenas rebuilt from nothing.
             let c = sim.exec();
             *c = ExecCtx::new(c.threads(), c.sorter(), c.ledger().analytic());
         }
