@@ -149,7 +149,49 @@ fn bench_engine_step(c: &mut Criterion) {
             steps
         })
     });
+    // The detour tail of a quorum step's whole-mesh spread: the
+    // `faulted_t1` workload with one packet in eight redirected to a hot
+    // spot beside one of the 4 dead nodes, so queues reach the hundreds.
+    let hot = hotspot_workload(shape, &w);
+    let hot_cycle = |mut engine: Engine| {
+        engine.reset();
+        let mut engine = engine.with_faults(mask.clone());
+        for &(src, pkt) in &hot {
+            engine.inject(src, pkt);
+        }
+        let steps = engine.run(100_000_000).unwrap().steps;
+        black_box(engine.drain_delivered().count());
+        (engine, steps)
+    };
+    let mut engine = Some(hot_cycle(Engine::new(shape)).0);
+    g.bench_function("hotspot_faulted_t1", |b| {
+        b.iter(|| {
+            let (warm, steps) = hot_cycle(engine.take().unwrap());
+            engine = Some(warm);
+            steps
+        })
+    });
     g.finish();
+}
+
+/// `w` with one packet in eight sent to a node beside one of the dead
+/// nodes of `bench_engine_step`'s mask instead.
+fn hotspot_workload(shape: MeshShape, w: &[(Coord, Packet)]) -> Vec<(Coord, Packet)> {
+    let spots = [(16, 17), (16, 48), (47, 17), (47, 48)];
+    let mut rng = SplitMix64(0x407 ^ shape.nodes());
+    w.iter()
+        .map(|&(src, pkt)| {
+            let r = rng.next_u64();
+            let dest = match r % 8 {
+                0 => {
+                    let (row, col) = spots[(r / 8 % 4) as usize];
+                    Coord::new(row, col)
+                }
+                _ => pkt.dest,
+            };
+            (src, Packet { dest, ..pkt })
+        })
+        .collect()
 }
 
 criterion_group!(

@@ -11,9 +11,9 @@
 //! - [`region`]: axis-aligned rectangular submeshes and the recursive
 //!   near-equal tessellations used to map HMOS pages onto the mesh.
 //! - [`engine`]: the synchronous packet engine (greedy XY routing within
-//!   a bounding region, FIFO link queues with farthest-first priority,
-//!   step counting and congestion metrics), built on flat
-//!   struct-of-arrays storage with zero steady-state allocation.
+//!   a bounding region, per-link queues kept sorted farthest-first, step
+//!   counting and congestion metrics), whose steps visit only occupied
+//!   nodes, with zero steady-state allocation.
 //! - [`arena`]: the struct-of-arrays packet store the engine indexes
 //!   into ([`arena::PacketRef`] instead of cloned packets).
 //! - [`fault`]: static fault masks — dead nodes, severed and lossy links —

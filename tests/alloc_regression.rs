@@ -4,11 +4,12 @@
 //! A counting `#[global_allocator]` wraps the system allocator and
 //! tallies every `alloc`/`realloc`/`alloc_zeroed` call in the process.
 //! After a warmup run has sized every buffer — arena columns, the
-//! double-buffered slot arrays, handoff rings, staging and removal
-//! scratch, the delivered list — repeating the *same* workload must hit
-//! the allocator **zero** times at `threads = 1`: not per step, not per
-//! run, not in `drain_delivered`, and not when a fault mask with dead
-//! nodes, a severed link and a lossy link makes packets detour and drop.
+//! per-band slot pools and run tables, occupied and stuck lists, handoff
+//! rings, staging, the delivered list — repeating the *same* workload
+//! must hit the allocator **zero** times at `threads = 1`: not per step,
+//! not per run, not in `drain_delivered`, not when a fault mask with dead
+//! nodes, a severed link and a lossy link makes packets detour and drop,
+//! and not when a hot spot grows queues into the hundreds.
 //! That is the whole point of the flat
 //! struct-of-arrays layout; any regression (a stray `clone`, a
 //! `Vec::new` in the step loop, a drain that reallocates) fails here
@@ -39,7 +40,7 @@ use prasim::core::workload;
 use prasim::core::{ReadPolicy, RunOptions};
 use prasim::exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams};
-use prasim_mesh::engine::{Engine, Packet};
+use prasim_mesh::engine::{Engine, EngineStats, Packet};
 use prasim_mesh::fault::FaultMask;
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, Dir, MeshShape};
@@ -183,7 +184,11 @@ fn sequential_steady_state_allocates_nothing() {
 /// [`cycle`] under a fault mask. `reset` drops the installed mask and
 /// `with_faults` consumes the engine, so the engine goes through by
 /// value and comes back with the stats.
-fn faulted_cycle(mut engine: Engine, mask: FaultMask, w: &[(Coord, Packet)]) -> (Engine, u64, u64) {
+fn faulted_cycle(
+    mut engine: Engine,
+    mask: FaultMask,
+    w: &[(Coord, Packet)],
+) -> (Engine, EngineStats, u64) {
     engine.reset();
     let mut engine = engine.with_faults(mask);
     for &(src, pkt) in w {
@@ -192,7 +197,7 @@ fn faulted_cycle(mut engine: Engine, mask: FaultMask, w: &[(Coord, Packet)]) -> 
     let stats = engine.run(1_000_000).expect("workload must route");
     let delivered = engine.drain_delivered().count() as u64;
     assert_eq!(delivered + stats.dropped, w.len() as u64);
-    (engine, stats.steps, delivered)
+    (engine, stats, delivered)
 }
 
 #[test]
@@ -216,17 +221,78 @@ fn faulted_steady_state_allocates_nothing() {
     let (engine, _, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
 
     let before = allocations();
-    let (engine, steps_a, delivered) = faulted_cycle(engine, masks.pop().unwrap(), &w);
-    let (_, steps_b, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    let (engine, stats_a, delivered) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    let (_, stats_b, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
     let after = allocations();
 
-    let steps = steps_a + steps_b;
+    let steps = stats_a.steps + stats_b.steps;
     assert!(steps >= 100, "workload too easy: {steps} warm steps");
     assert_eq!(
         after - before,
         0,
         "warm faulted cycles ({steps} steps, {delivered} delivered each) \
          must not allocate"
+    );
+}
+
+/// Every node of a 32 × 32 mesh sends 4 packets to one of 4 hot spots,
+/// each beside a dead node: the detour tail of a quorum step's spread,
+/// with queues in the hundreds.
+fn hotspot_workload(shape: MeshShape) -> (Vec<(Coord, Packet)>, FaultMask) {
+    let spots = [(6, 6), (6, 25), (25, 6), (25, 25)];
+    let mut mask = FaultMask::new(shape);
+    for &(r, c) in &spots {
+        mask.kill_node(Coord::new(r, c + 1));
+    }
+    let bounds = Rect::full(shape);
+    let mut w = Vec::new();
+    for node in 0..shape.nodes() as u32 {
+        for k in 0..4u64 {
+            let id = node as u64 * 4 + k;
+            let (r, c) = spots[(mix(0xBEEF ^ id) % 4) as usize];
+            // Ids in an order unrelated to injection, as arbitration
+            // reads them on every tie.
+            let pkt = Packet {
+                id: mix(id),
+                dest: Coord::new(r, c),
+                bounds,
+                tag: id,
+            };
+            w.push((shape.coord(node), pkt));
+        }
+    }
+    (w, mask)
+}
+
+#[test]
+fn hotspot_steady_state_allocates_nothing() {
+    let _alone = serialize();
+    let shape = MeshShape::square(32);
+    let (w, mask) = hotspot_workload(shape);
+    let mut masks: Vec<FaultMask> = (0..4).map(|_| mask.clone()).collect();
+    let engine = Engine::new(shape).with_threads(1);
+
+    let (engine, stats, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    assert!(
+        stats.max_queue >= 100,
+        "queues too shallow: {}",
+        stats.max_queue
+    );
+    let (engine, _, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+
+    let before = allocations();
+    let (engine, stats_a, delivered) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    let (_, stats_b, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
+    let after = allocations();
+
+    assert_eq!(stats_a, stats_b);
+    assert_eq!(
+        after - before,
+        0,
+        "warm hot-spot cycles ({} steps, max queue {}, {delivered} delivered each) \
+         must not allocate",
+        stats_a.steps,
+        stats_a.max_queue
     );
 }
 
