@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `--threads N` (a positive integer) shards every mesh engine across
-//! N workers (default: available parallelism). The tables are
+//! N workers (default: 1). The tables are
 //! byte-identical for every value — the CI determinism matrix diffs
 //! selected tables across `--threads 1/2/8` to prove it; only the
 //! wall-clock columns of T16 vary.
@@ -35,7 +35,7 @@ use prasim_bench::tables::{self, Table};
 use prasim_sortnet::Sorter;
 use std::path::Path;
 
-const USAGE: &str = "usage: reproduce [quick|full] [T1..T17]... [--threads N] \
+const USAGE: &str = "usage: reproduce [quick|full] [T1..T17]... [--threads 1] \
                      [--sorter shearsort|columnsort]";
 
 /// Where quick runs write their JSON artifacts, relative to the
@@ -57,7 +57,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         quick: false,
         full: false,
         selected: Vec::new(),
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        threads: 1,
         sorter: Sorter::default(),
     };
     let mut it = raw.into_iter();
@@ -210,5 +210,17 @@ fn main() {
     );
     for t in &out {
         println!("{}", t.render());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn threads_default_to_one() {
+        let args = |words: &[&str]| parse_args(words.iter().map(|w| w.to_string())).unwrap();
+        assert_eq!(args(&["quick", "T12"]).threads, 1);
+        assert_eq!(args(&["T12", "--threads", "8"]).threads, 8);
     }
 }

@@ -957,7 +957,7 @@ pub fn t13_slack_ablation(n: u64, d: u32, threads: usize, sorter: Sorter) -> Tab
             .map(|i| i.max_page_load)
             .max()
             .unwrap_or(0);
-        let sizes_ok = out.selected.iter().all(|s| s.len() == 4); // minimal target set for q=3, k=2
+        let sizes_ok = (0..reqs.len()).all(|p| out.selected.of(p).count() == 4); // minimal target set for q=3, k=2
         rows.push(vec![
             format!("{slack}"),
             out.report.iterations[0].mark_bound.to_string(),

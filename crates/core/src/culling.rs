@@ -16,34 +16,40 @@
 //! time is a *measured* quantity with the Eq. (2) shape `O(k·q^k·√n)`.
 
 use prasim_exec::ExecCtx;
-use prasim_hmos::{CopyCell, Hmos, Instances, TargetSpec};
+use prasim_hmos::{CopyCell, Hmos, TargetSpec};
 use prasim_mesh::topology::MeshShape;
 use prasim_routing::problem::SplitMix64;
 use prasim_sortnet::rank::rank_sorted;
 use prasim_sortnet::snake::snake_pos;
 
-/// A culled copy with its resolved physical address.
+/// CULLING's choice for a whole step, as the access protocol reads it.
+///
+/// Processor `p`'s variable has its `q^k` copies resolved in the stripe
+/// `p·q^k..(p+1)·q^k`, in leaf order, beside a mask of the chosen
+/// leaves. An idle processor's stripe chooses nothing. Callers hold one
+/// stripe per processor of the step.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelectedCopy {
-    /// Leaf index of the copy in `T_v` (see
-    /// [`prasim_hmos::CopyAddr::leaf_index`]).
-    pub leaf: u64,
-    /// Mesh node storing the copy.
-    pub node: u32,
-    /// Slot within the node.
-    pub slot: u64,
-    /// Page-instance index at each level `1..=k`.
-    pub instances: Instances,
+pub struct Selection {
+    width: usize,
+    cells: Vec<CopyCell>,
+    chosen: Vec<bool>,
 }
 
-impl SelectedCopy {
-    fn new(leaf: u64, cell: &CopyCell, shape: MeshShape) -> Self {
-        SelectedCopy {
-            leaf,
-            node: shape.index(cell.node),
-            slot: cell.slot,
-            instances: cell.instances,
-        }
+impl Selection {
+    /// Number of processors (stripes) covered.
+    pub fn processors(&self) -> usize {
+        self.cells.len() / self.width
+    }
+
+    /// Processor `p`'s chosen copies, leaves ascending, as `(leaf,
+    /// cell)`; `leaf` indexes `T_v` (see
+    /// [`prasim_hmos::CopyAddr::leaf_index`]).
+    pub fn of(&self, p: usize) -> impl Iterator<Item = (u64, &CopyCell)> + '_ {
+        let stripe = p * self.width..(p + 1) * self.width;
+        (0..)
+            .zip(&self.cells[stripe.clone()])
+            .zip(&self.chosen[stripe])
+            .filter_map(|(copy, &chosen)| chosen.then_some(copy))
     }
 }
 
@@ -103,9 +109,9 @@ impl CullingReport {
 /// Result of culling a request set.
 #[derive(Debug, Clone)]
 pub struct CullingOutcome {
-    /// Per processor: the selected copies of its variable (empty when
-    /// idle). The selection is a minimal target set.
-    pub selected: Vec<Vec<SelectedCopy>>,
+    /// Per processor: the selected copies of its variable (none when
+    /// idle). Each active processor's selection is a target set.
+    pub selected: Selection,
     /// Statistics and cost.
     pub report: CullingReport,
 }
@@ -119,24 +125,16 @@ pub struct CullingOutcome {
 /// the routing phases then carry the full `q^k`-fold load.
 pub fn select_all(hmos: &Hmos, requests: &[Option<u64>]) -> CullingOutcome {
     let qk = hmos.params().redundancy();
-    let shape: MeshShape = hmos.shape();
-    let mut cells = Vec::with_capacity(qk as usize);
-    let selected = requests
+    let chosen = requests
         .iter()
-        .map(|req| match *req {
-            None => Vec::new(),
-            Some(v) => {
-                cells.clear();
-                hmos.resolve_all(v, &mut cells);
-                (0..qk)
-                    .zip(&cells)
-                    .map(|(leaf, cell)| SelectedCopy::new(leaf, cell, shape))
-                    .collect()
-            }
-        })
+        .flat_map(|req| std::iter::repeat_n(req.is_some(), qk as usize))
         .collect();
     CullingOutcome {
-        selected,
+        selected: Selection {
+            width: qk as usize,
+            cells: resolve_requests(hmos, requests),
+            chosen,
+        },
         report: CullingReport {
             iterations: Vec::new(),
             total_steps: qk,
@@ -256,24 +254,12 @@ pub fn cull_with(
         });
     }
 
-    // Materialize the final selections: minimal level-k target sets.
-    let selected = requests
-        .iter()
-        .enumerate()
-        .map(|(p, req)| match req {
-            None => Vec::new(),
-            Some(_) => {
-                let mut sel = Vec::with_capacity(spec.minimal_size(k) as usize);
-                sel.extend(
-                    stripe(p)
-                        .filter(|&at| in_c[at])
-                        .map(|at| SelectedCopy::new((at % qk as usize) as u64, &cells[at], shape)),
-                );
-                sel
-            }
-        })
-        .collect();
-
+    // C^k: minimal level-k target sets.
+    let selected = Selection {
+        width: qk as usize,
+        cells,
+        chosen: in_c,
+    };
     CullingOutcome { selected, report }
 }
 
@@ -281,7 +267,7 @@ pub fn cull_with(
 mod tests {
     use super::*;
     use crate::workload;
-    use prasim_hmos::HmosParams;
+    use prasim_hmos::{CopyAddr, HmosParams};
 
     fn hmos() -> Hmos {
         Hmos::new(HmosParams::with_d(3, 2, 1024, 4).unwrap()).unwrap()
@@ -294,15 +280,20 @@ mod tests {
             .collect()
     }
 
+    fn leaves(sel: &Selection, p: usize) -> Vec<u64> {
+        sel.of(p).map(|(leaf, _)| leaf).collect()
+    }
+
     #[test]
     fn selections_are_minimal_target_sets() {
         let h = hmos();
         let reqs = full_requests(&h, 1024, 3);
         let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
         let spec = TargetSpec { q: 3, k: 2 };
-        for sel in out.selected.iter() {
-            assert_eq!(sel.len() as u64, spec.minimal_size(2)); // 2^2 = 4
-            let mut leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
+        assert_eq!(out.selected.processors(), reqs.len());
+        for p in 0..reqs.len() {
+            let mut leaves = leaves(&out.selected, p);
+            assert_eq!(leaves.len() as u64, spec.minimal_size(2)); // 2^2 = 4
             assert!(spec.is_target(&mut leaves));
         }
     }
@@ -334,8 +325,10 @@ mod tests {
         // selections must still be valid minimal target sets.
         let out = cull_with(&h, &reqs, 0.001, &mut ExecCtx::default());
         let spec = TargetSpec { q: 3, k: 2 };
-        for sel in &out.selected {
-            let mut leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
+        assert_eq!(out.selected.processors(), reqs.len());
+        for p in 0..reqs.len() {
+            let mut leaves = leaves(&out.selected, p);
+            assert_eq!(leaves.len() as u64, spec.minimal_size(2));
             assert!(spec.is_target(&mut leaves));
         }
         let total_fallbacks: u64 = out.report.iterations.iter().map(|i| i.fallbacks).sum();
@@ -343,15 +336,34 @@ mod tests {
     }
 
     #[test]
-    fn idle_processors_select_nothing() {
+    fn selections_resolve_like_hmos_and_skip_idle_processors() {
         let h = hmos();
         let mut reqs = full_requests(&h, 1024, 9);
         reqs[5] = None;
         reqs[900] = None;
-        let out = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
-        assert!(out.selected[5].is_empty());
-        assert!(out.selected[900].is_empty());
-        assert_eq!(out.selected[6].len(), 4);
+        let culled = cull_with(&h, &reqs, 1.0, &mut ExecCtx::default());
+        let all = select_all(&h, &reqs);
+        assert_eq!(culled.selected.processors(), reqs.len());
+        assert_eq!(all.selected.processors(), reqs.len());
+        for (p, req) in reqs.iter().enumerate() {
+            let Some(var) = *req else {
+                assert_eq!(culled.selected.of(p).count(), 0, "idle processor {p}");
+                assert_eq!(all.selected.of(p).count(), 0, "idle processor {p}");
+                continue;
+            };
+            let chosen = leaves(&culled.selected, p);
+            assert_eq!(chosen.len(), 4, "processor {p}");
+            assert!(chosen.windows(2).all(|w| w[0] < w[1]), "processor {p}");
+            assert_eq!(leaves(&all.selected, p), (0..9).collect::<Vec<_>>());
+            for (leaf, cell) in culled.selected.of(p).chain(all.selected.of(p)) {
+                let want = h.resolve(&CopyAddr::from_leaf_index(var, 3, 2, leaf));
+                assert_eq!(
+                    (cell.node, cell.slot, cell.instances),
+                    (want.node, want.slot, want.instances),
+                    "processor {p}, leaf {leaf}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! is dominated by the forward trip, and we charge it as equal to the
 //! forward routing steps (DESIGN.md §4).
 
-use crate::culling::SelectedCopy;
+use crate::culling::Selection;
 use crate::pram::Op;
 use prasim_exec::ExecCtx;
 use prasim_fault::{CopyFaultKind, FaultPlan};
-use prasim_hmos::{CopyReport, Hmos, QuorumRead, TargetSpec};
+use prasim_hmos::{CopyCell, CopyReport, Hmos, QuorumRead, TargetSpec};
 use prasim_mesh::engine::{EngineError, Packet};
 use prasim_mesh::region::Rect;
 use prasim_mesh::topology::Coord;
@@ -153,16 +153,17 @@ pub struct AccessResult {
 
 /// Executes the access protocol for one PRAM step.
 ///
-/// `memory[node]` maps slots to cells. `ops[p]` / `selected[p]` give
-/// processor `p`'s operation and selected copy set; `run` carries the
-/// clock, budgets, read policy, and fault scenario; `ctx` provides the
-/// pooled engines, the stage sorter, and the cost ledger the sort
-/// charges flow through.
+/// `memory[node]` maps slots to cells. `ops[p]` and `selected.of(p)`
+/// give processor `p`'s operation and selected copies; `selected` must
+/// hold one stripe per entry of `ops`, idle processors included. `run`
+/// carries the clock, budgets, read policy, and fault scenario; `ctx`
+/// provides the pooled engines, the stage sorter, and the cost ledger
+/// the sort charges flow through.
 pub fn access_protocol(
     hmos: &Hmos,
     memory: &mut [HashMap<u64, Cell>],
     ops: &[Option<Op>],
-    selected: &[Vec<SelectedCopy>],
+    selected: &Selection,
     run: &RunOptions<'_>,
     ctx: &mut ExecCtx,
 ) -> Result<AccessResult, EngineError> {
@@ -178,15 +179,15 @@ pub fn access_protocol(
         .map(|f| f.mask_at(shape, clock))
         .filter(|m| !m.is_empty());
 
-    // One packet per selected copy, processor-major: processor `p`'s
-    // packets form one contiguous run and start on node `p`. `alive` is
-    // cleared when a packet is injected and set again when it is
-    // delivered, so a packet a machine fault swallowed stays dead.
-    let copies: Vec<&SelectedCopy> = selected.iter().flatten().collect();
-    let mut cur: Vec<u32> = (0u32..)
-        .zip(selected)
-        .flat_map(|(p, sel)| std::iter::repeat_n(p, sel.len()))
-        .collect();
+    // One packet per selected copy, processor-major with leaves
+    // ascending: processor `p`'s packets form one contiguous run of ids
+    // and start on node `p`. `alive` is cleared when a packet is injected
+    // and set again when it is delivered, so a packet a machine fault
+    // swallowed stays dead.
+    debug_assert_eq!(selected.processors(), ops.len(), "one stripe per processor");
+    let (mut cur, copies): (Vec<u32>, Vec<&CopyCell>) = (0..ops.len())
+        .flat_map(|p| selected.of(p).map(move |(_, cell)| (p as u32, cell)))
+        .unzip();
     let mut alive = vec![true; copies.len()];
 
     let mut report = ProtocolReport::default();
@@ -211,7 +212,7 @@ pub fn access_protocol(
                     shape.coord(cur[id]),
                     Packet {
                         id: id as u64,
-                        dest: shape.coord(copies[id].node),
+                        dest: copies[id].node,
                         bounds: hmos.pages(1)[copies[id].instances[0] as usize].rect,
                         tag: id as u64,
                     },
@@ -324,25 +325,29 @@ pub fn access_protocol(
     let mut write_committed: Vec<Option<bool>> = vec![None; ops.len()];
     let mut replies: Vec<CopyReport> = Vec::new();
     let mut written: Vec<u64> = Vec::new(); // installed leaves
-    let mut start = 0;
+    let mut id = 0; // the running packet id
     for (p, op) in ops.iter().enumerate() {
-        let run_ids = start..start + selected.get(p).map_or(0, Vec::len);
-        start = run_ids.end;
         let mut freshest: Option<(u64, u64)> = None; // (ts, value)
         replies.clear();
         written.clear();
-        for copy in run_ids.filter(|&id| alive[id]).map(|id| copies[id]) {
+        for (leaf, copy) in selected.of(p) {
+            let live = alive[id];
+            id += 1;
+            if !live {
+                continue;
+            }
+            let node = shape.index(copy.node);
             let fault = run
                 .faults
-                .and_then(|f| f.cell_fault(copy.node, copy.slot, clock));
+                .and_then(|f| f.cell_fault(node, copy.slot, clock));
             match op {
                 Some(Op::Read { .. }) => {
                     let (value, ts) = match fault {
                         Some(CopyFaultKind::Corrupt) => run
                             .faults
                             .expect("fault came from a plan")
-                            .garbage_for(copy.node, copy.slot),
-                        _ => memory[copy.node as usize]
+                            .garbage_for(node, copy.slot),
+                        _ => memory[node as usize]
                             .get(&copy.slot)
                             .copied()
                             .unwrap_or((0, 0)),
@@ -353,17 +358,15 @@ pub fn access_protocol(
                                 freshest = Some((ts, value));
                             }
                         }
-                        ReadPolicy::HierarchicalMajority => replies.push(CopyReport {
-                            leaf: copy.leaf,
-                            ts,
-                            value,
-                        }),
+                        ReadPolicy::HierarchicalMajority => {
+                            replies.push(CopyReport { leaf, ts, value })
+                        }
                     }
                 }
                 Some(Op::Write { value, .. }) => {
                     if fault.is_none() {
-                        memory[copy.node as usize].insert(copy.slot, (*value, clock));
-                        written.push(copy.leaf);
+                        memory[node as usize].insert(copy.slot, (*value, clock));
+                        written.push(leaf);
                     }
                 }
                 None => unreachable!("packet for an idle processor"),

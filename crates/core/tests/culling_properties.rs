@@ -34,13 +34,14 @@ proptest! {
             reqs.rotate_right((seed % 256) as usize);
         }
         let out = cull_with(&h, &reqs, slack, &mut ExecCtx::default());
-        for (p, sel) in out.selected.iter().enumerate() {
-            if reqs[p].is_none() {
-                prop_assert!(sel.is_empty());
+        prop_assert_eq!(out.selected.processors(), reqs.len());
+        for (p, req) in reqs.iter().enumerate() {
+            let mut leaves: Vec<u64> = out.selected.of(p).map(|(leaf, _)| leaf).collect();
+            if req.is_none() {
+                prop_assert!(leaves.is_empty());
                 continue;
             }
-            prop_assert_eq!(sel.len() as u64, spec.minimal_size(2));
-            let mut leaves: Vec<u64> = sel.iter().map(|s| s.leaf).collect();
+            prop_assert_eq!(leaves.len() as u64, spec.minimal_size(2));
             prop_assert!(spec.is_target(&mut leaves), "processor {} selection invalid", p);
         }
     }

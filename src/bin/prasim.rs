@@ -4,14 +4,14 @@
 //! prasim simulate  --n 1024 --memory 9000 [--q 3] [--k 2] [--steps 2]
 //!                  [--workload random|adversarial|strided] [--seed 42]
 //!                  [--slack 1.0] [--analytic]
-//!                  [--policy freshest|quorum] [--threads N]
+//!                  [--policy freshest|quorum] [--threads 1]
 //!                  [--sorter shearsort|columnsort]
 //!                  [--dead N] [--sever N] [--lossy N]
 //!                  [--corrupt N] [--freeze N]
 //!                  [--fault-seed S] [--fault-from T]
 //! prasim structure --n 1024 --d 5 [--q 3] [--k 2]
 //! prasim route     --n 1024 [--l1 1] [--seed 7] [--algo greedy|flat|hier]
-//!                  [--parts 16] [--threads N] [--sorter shearsort|columnsort]
+//!                  [--parts 16] [--threads 1] [--sorter shearsort|columnsort]
 //! prasim bibd      --q 3 --d 2 [--m 8] [--dot]
 //! prasim help | --help
 //! ```
@@ -23,11 +23,11 @@
 //! given PRAM step (steps are 1-based). `--policy quorum` reads through
 //! Definition 2's hierarchical majority instead of freshest-timestamp.
 //! `--threads N` (a positive integer) shards the mesh engines across N
-//! workers (default: available parallelism); the output is
-//! byte-identical for every N. `--sorter` selects the mesh sorting
-//! network used by every sort phase (default: the step-simulated
-//! columnsort; `shearsort` restores the previous merge-split
-//! shearsort). Both are parsed once and passed to the run's
+//! workers (default: 1, since extra bands have not paid on the hosts
+//! measured); the output is byte-identical for every N. `--sorter`
+//! selects the mesh sorting network used by every sort phase (default:
+//! the step-simulated columnsort; `shearsort` restores the previous
+//! merge-split shearsort). Both are parsed once and passed to the run's
 //! configuration; nothing is read from the environment.
 //!
 //! An unknown flag, a flag the command does not take, a value-taking
@@ -128,10 +128,9 @@ impl Args {
         }
     }
 
-    /// `--threads` (default: available parallelism); must be positive.
+    /// `--threads` (default 1); must be positive.
     fn threads(&self) -> usize {
-        let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        match self.get_u64("threads", default as u64) {
+        match self.get_u64("threads", 1) {
             0 => die("--threads expects a positive integer"),
             t => t as usize,
         }
@@ -526,6 +525,12 @@ mod tests {
         assert!(a.has("analytic"));
         assert_eq!(a.get_u64("missing", 7), 7);
         assert_eq!(a.get_str("algo", "flat"), "flat");
+    }
+
+    #[test]
+    fn threads_default_to_one() {
+        assert_eq!(args(&["simulate", "--n", "256"]).threads(), 1);
+        assert_eq!(args(&["route", "--threads", "3"]).threads(), 3);
     }
 
     #[test]

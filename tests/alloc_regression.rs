@@ -17,7 +17,8 @@
 //! `Hmos::resolve_all`, which CULLING calls for every request of every
 //! step: once its output buffer has the capacity, it allocates nothing.
 //! CULLING and a quorum read's access protocol are held to a small
-//! number of allocations per requesting processor.
+//! number of allocations per requesting processor, and a warm quorum
+//! `PramMeshSim::step` to a count that does not grow with the mesh.
 //!
 //! Parallel runs are allowed a small *per-run* setup cost (each run
 //! spawns its scoped band threads), so the parallel test pins down the
@@ -37,7 +38,7 @@
 use prasim::core::culling::{cull_with, select_all};
 use prasim::core::protocol::{access_protocol, Cell};
 use prasim::core::workload;
-use prasim::core::{ReadPolicy, RunOptions};
+use prasim::core::{PramMeshSim, ReadPolicy, RunOptions, SimConfig};
 use prasim::exec::ExecCtx;
 use prasim_hmos::{Hmos, HmosParams};
 use prasim_mesh::engine::{Engine, EngineStats, Packet};
@@ -379,10 +380,10 @@ fn warm_cull_with_allocates_little_per_request() {
         let out = cull_with(&hmos, &requests, 1.0, &mut ctx);
         let after = allocations();
 
-        assert!(out.selected.iter().all(|sel| sel.len() == 4));
+        assert!((0..n as usize).all(|p| out.selected.of(p).count() == 4));
         let per_request = (after - before) as f64 / n as f64;
         assert!(
-            per_request <= 8.0,
+            per_request <= 6.5,
             "a warm cull_with at n = {n} made {} allocations, {per_request:.1} per request",
             after - before
         );
@@ -442,4 +443,36 @@ fn warm_quorum_read_allocates_at_most_once_per_reader() {
             after - before
         );
     }
+}
+
+#[test]
+fn warm_step_allocations_do_not_grow_with_n() {
+    let _alone = serialize();
+    let warm_step_allocations = |n: u64| {
+        let config = SimConfig::new(n, 40_000)
+            .with_threads(1)
+            .with_read_policy(ReadPolicy::HierarchicalMajority);
+        let mut sim = PramMeshSim::new(config).unwrap();
+        let vars = workload::random_distinct(n, sim.num_variables(), 5);
+        let (write, read) = (workload::write_step(&vars, 11), workload::read_step(&vars));
+        for _ in 0..2 {
+            sim.step(&write).unwrap();
+            sim.step(&read).unwrap();
+        }
+        let before = allocations();
+        sim.step(&write).unwrap();
+        let report = sim.step(&read).unwrap();
+        let after = allocations();
+        assert!((11..)
+            .zip(&report.reads)
+            .all(|(value, r)| *r == Some(value)));
+        after - before
+    };
+    let small = warm_step_allocations(1024);
+    let large = warm_step_allocations(4096);
+    assert!(
+        large <= small + 32,
+        "a warm quorum write + read step made {small} allocations at n = 1024 \
+         but {large} at n = 4096"
+    );
 }
