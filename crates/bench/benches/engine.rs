@@ -1,8 +1,6 @@
-//! Sharded-engine benchmarks: the same saturated routing phase swept
-//! across worker-thread counts (the wall-clock half of T16 — the
-//! determinism half is enforced by the equivalence proptest and the CI
-//! matrix). Speedups require actual cores; on a single-core host the
-//! sweep measures banding overhead instead.
+//! Engine benchmarks: a light routing phase on a small mesh, and warm
+//! step throughput on n = 4096 — fault-free, around dead nodes, and with
+//! hot-spot queues in the hundreds.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use prasim_mesh::engine::{Engine, Packet};
@@ -11,57 +9,21 @@ use prasim_mesh::region::Rect;
 use prasim_mesh::topology::{Coord, MeshShape};
 use prasim_routing::problem::SplitMix64;
 
-/// A mesh saturated with `per_node` random-destination packets at every
-/// node, ready to run.
-fn saturated_engine(shape: MeshShape, per_node: u64, threads: usize) -> Engine {
-    let mut engine = Engine::new(shape).with_threads(threads);
-    let bounds = Rect::full(shape);
-    let mut rng = SplitMix64(0xC0FFEE ^ shape.nodes());
-    let mut id = 0u64;
-    for node in 0..shape.nodes() as u32 {
-        let src = shape.coord(node);
-        for _ in 0..per_node {
-            let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
-            engine.inject(
-                src,
-                Packet {
-                    id,
-                    dest,
-                    bounds,
-                    tag: id,
-                },
-            );
-            id += 1;
-        }
-    }
-    engine
-}
-
-fn bench_thread_sweep(c: &mut Criterion) {
-    let shape = MeshShape::square_of(4096).unwrap();
-    let mut g = c.benchmark_group("engine/threads_n4096");
-    g.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_function(format!("t{threads}"), |b| {
-            b.iter_batched(
-                || saturated_engine(shape, 16, threads),
-                |mut e| black_box(e.run(100_000_000).unwrap().steps),
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
 fn bench_sequential_small(c: &mut Criterion) {
-    // The sequential fast path must not regress from the banding
-    // refactor: small mesh, light load, threads = 1.
+    // Small mesh, light load: 2 random-destination packets per node.
     let shape = MeshShape::square_of(1024).unwrap();
+    let w = step_workload(shape, 2);
     let mut g = c.benchmark_group("engine/sequential_n1024");
     g.sample_size(10);
     g.bench_function("t1_light", |b| {
         b.iter_batched(
-            || saturated_engine(shape, 2, 1),
+            || {
+                let mut engine = Engine::new(shape);
+                for &(src, pkt) in &w {
+                    engine.inject(src, pkt);
+                }
+                engine
+            },
             |mut e| black_box(e.run(100_000_000).unwrap().steps),
             BatchSize::LargeInput,
         )
@@ -69,7 +31,8 @@ fn bench_sequential_small(c: &mut Criterion) {
     g.finish();
 }
 
-/// The T16 workload as a reusable injection list.
+/// `per_node` random-destination packets at every node, as an injection
+/// list.
 fn step_workload(shape: MeshShape, per_node: u64) -> Vec<(Coord, Packet)> {
     let bounds = Rect::full(shape);
     let mut rng = SplitMix64(0xC0FFEE ^ shape.nodes());
@@ -103,25 +66,23 @@ fn bench_engine_step(c: &mut Criterion) {
     let w = step_workload(shape, 8);
     let mut g = c.benchmark_group("engine_step/n4096");
     g.sample_size(10);
-    for threads in [1usize, 8] {
-        let mut engine = Engine::new(shape).with_threads(threads);
-        // Warmup sizes every buffer before the first sample.
-        for &(src, pkt) in &w {
-            engine.inject(src, pkt);
-        }
-        engine.run(100_000_000).unwrap();
-        g.bench_function(format!("arena_t{threads}"), |b| {
-            b.iter(|| {
-                engine.reset();
-                for &(src, pkt) in &w {
-                    engine.inject(src, pkt);
-                }
-                let steps = engine.run(100_000_000).unwrap().steps;
-                black_box(engine.drain_delivered().count());
-                steps
-            })
-        });
+    let mut engine = Engine::new(shape);
+    // Warmup sizes every buffer before the first sample.
+    for &(src, pkt) in &w {
+        engine.inject(src, pkt);
     }
+    engine.run(100_000_000).unwrap();
+    g.bench_function("arena_t1", |b| {
+        b.iter(|| {
+            engine.reset();
+            for &(src, pkt) in &w {
+                engine.inject(src, pkt);
+            }
+            let steps = engine.run(100_000_000).unwrap().steps;
+            black_box(engine.drain_delivered().count());
+            steps
+        })
+    });
     // The `arena_t1` workload around 4 fixed dead nodes: the faulted
     // step loop, clear-node fast path and detours included. `reset`
     // drops the mask and `with_faults` consumes the engine, so each
@@ -194,10 +155,5 @@ fn hotspot_workload(shape: MeshShape, w: &[(Coord, Packet)]) -> Vec<(Coord, Pack
         .collect()
 }
 
-criterion_group!(
-    benches,
-    bench_thread_sweep,
-    bench_sequential_small,
-    bench_engine_step
-);
+criterion_group!(benches, bench_sequential_small, bench_engine_step);
 criterion_main!(benches);

@@ -54,11 +54,11 @@ fn bench_baselines(c: &mut Criterion) {
     g.bench_function("hmos", |b| {
         b.iter(|| black_box(hmos.step(&step).unwrap().total_steps))
     });
-    let mut single = SingleCopySim::new(n, nv, 1, Sorter::default()).unwrap();
+    let mut single = SingleCopySim::new(n, nv, Sorter::default()).unwrap();
     g.bench_function("single_copy", |b| {
         b.iter(|| black_box(single.step(&step).unwrap().total_steps))
     });
-    let mut flat = FlatHmosSim::new(3, 2, n, 9000, 1, Sorter::default()).unwrap();
+    let mut flat = FlatHmosSim::new(3, 2, n, 9000, Sorter::default()).unwrap();
     g.bench_function("flat_hmos", |b| {
         b.iter(|| black_box(flat.step(&step).unwrap().total_steps))
     });

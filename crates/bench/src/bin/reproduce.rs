@@ -1,28 +1,22 @@
-//! Regenerates every experiment table (T1–T17) of EXPERIMENTS.md.
+//! Regenerates every experiment table (T1–T15 and T17) of EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p prasim-bench --bin reproduce            # standard sizes
 //! cargo run --release -p prasim-bench --bin reproduce -- quick   # CI-sized
 //! cargo run --release -p prasim-bench --bin reproduce -- full    # adds n = 65536 points
 //! cargo run --release -p prasim-bench --bin reproduce -- T4 T6   # selected tables
-//! cargo run --release -p prasim-bench --bin reproduce -- quick T12 --threads 8
 //! cargo run --release -p prasim-bench --bin reproduce -- T2 --sorter shearsort
 //! ```
 //!
-//! `--threads N` (a positive integer) shards every mesh engine across
-//! N workers (default: 1). The tables are
-//! byte-identical for every value — the CI determinism matrix diffs
-//! selected tables across `--threads 1/2/8` to prove it; only the
-//! wall-clock columns of T16 vary.
-//!
 //! `--sorter shearsort|columnsort` selects the mesh sorter behind every
 //! sort phase (default: columnsort). The CI sorter matrix regenerates
-//! T2/T17 under both and diffs each against its committed golden.
+//! T2/T17 under both and diffs each against its committed golden. The
+//! flag is parsed once here and passed to the table builders as a plain
+//! argument; every table is byte-deterministic.
 //!
-//! Both flags are parsed once here and passed to the table builders as
-//! plain arguments. Any other argument — an unknown flag, a flag
-//! without its value, a malformed value, an unknown table id — exits
-//! with status 2 and a usage message before any table runs.
+//! Any other argument — an unknown flag, a flag without its value, a
+//! malformed value, an unknown or retired table id (T16, T18, T19) —
+//! exits with status 2 and a usage message before any table runs.
 //!
 //! Whenever T17 runs, its data is also written to `BENCH_sorters.json`
 //! (machine-readable step counts per sorter per `n`). Standard and full
@@ -35,7 +29,7 @@ use prasim_bench::tables::{self, Table};
 use prasim_sortnet::Sorter;
 use std::path::Path;
 
-const USAGE: &str = "usage: reproduce [quick|full] [T1..T17]... [--threads 1] \
+const USAGE: &str = "usage: reproduce [quick|full] [T1..T15|T17]... \
                      [--sorter shearsort|columnsort]";
 
 /// Where quick runs write their JSON artifacts, relative to the
@@ -48,7 +42,6 @@ struct Args {
     full: bool,
     /// Selected table ids, upper-cased; empty selects every table.
     selected: Vec<String>,
-    threads: usize,
     sorter: Sorter,
 }
 
@@ -57,19 +50,11 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         quick: false,
         full: false,
         selected: Vec::new(),
-        threads: 1,
         sorter: Sorter::default(),
     };
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                let v = value(&mut it, &a)?;
-                args.threads =
-                    v.parse().ok().filter(|&t| t > 0).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got `{v}`")
-                    })?;
-            }
             "--sorter" => args.sorter = value(&mut it, &a)?.parse()?,
             "quick" => args.quick = true,
             "full" => args.full = true,
@@ -85,9 +70,12 @@ fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, St
     it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
-/// Whether `id` names one of T1–T17 (case-insensitive).
+/// Whether `id` names one of T1–T15 or T17 (case-insensitive); T16 is
+/// retired, its last rows recorded in EXPERIMENTS.md.
 fn is_table_id(id: &str) -> bool {
-    (1..=17).any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
+    (1..=17)
+        .filter(|&i| i != 16)
+        .any(|i| id.eq_ignore_ascii_case(&format!("T{i}")))
 }
 
 /// Writes a table's JSON artifact (see the module docs for where).
@@ -108,7 +96,6 @@ fn main() {
         quick,
         full,
         selected,
-        threads,
         sorter,
     } = args;
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
@@ -117,23 +104,23 @@ fn main() {
 
     let mut out: Vec<Table> = Vec::new();
     if want("T1") {
-        out.push(tables::t1_slowdown(&t1_sizes, 2, false, threads, sorter));
-        out.push(tables::t1_slowdown(&t1_sizes, 2, true, threads, sorter));
+        out.push(tables::t1_slowdown(&t1_sizes, 2, false, sorter));
+        out.push(tables::t1_slowdown(&t1_sizes, 2, true, sorter));
     }
     if want("T2") {
         let ns = sizes::t2_ns(quick);
-        out.push(tables::t2_routing(&ns, &[1, 2, 4], threads, sorter));
+        out.push(tables::t2_routing(&ns, &[1, 2, 4], sorter));
     }
     if want("T3") {
         let ns = sizes::t3_ns(quick);
-        out.push(tables::t3_hierarchical(&ns, 1, threads, sorter));
+        out.push(tables::t3_hierarchical(&ns, 1, sorter));
     }
     if want("T4") {
         let (n, d) = sizes::t4_size(quick);
-        out.push(tables::t4_culling_bounds(n, d, 2, threads, sorter));
+        out.push(tables::t4_culling_bounds(n, d, 2, sorter));
     }
     if want("T5") {
-        out.push(tables::t5_culling_time(&t1_sizes, 2, threads, sorter));
+        out.push(tables::t5_culling_time(&t1_sizes, 2, sorter));
     }
     if want("T6") {
         out.push(tables::t6_bibd_balance());
@@ -150,40 +137,32 @@ fn main() {
     }
     if want("T9") {
         let (n, d) = sizes::t9_size(quick);
-        out.push(tables::t9_redundancy(n, d, &T9_KS, threads, sorter));
+        out.push(tables::t9_redundancy(n, d, &T9_KS, sorter));
     }
     if want("T10") {
         let (n, memory) = T10_SIZE;
-        out.push(tables::t10_baselines(n, memory, threads, sorter));
+        out.push(tables::t10_baselines(n, memory, sorter));
     }
     if want("T11") {
         let (n, memory) = T11_SIZE;
         let programs = if quick { 10 } else { 40 };
-        out.push(tables::t11_consistency(
-            programs, n, memory, threads, sorter,
-        ));
+        out.push(tables::t11_consistency(programs, n, memory, sorter));
     }
     if want("T12") {
         // Fixed seed: the fault sweep is byte-identical across runs.
         let (n, d) = T12_SIZE;
-        out.push(tables::t12_fault_sweep(n, d, 0xFA17, threads, sorter));
+        out.push(tables::t12_fault_sweep(n, d, 0xFA17, sorter));
     }
     if want("T13") {
         let (n, d) = T12_SIZE;
-        out.push(tables::t13_slack_ablation(n, d, threads, sorter));
+        out.push(tables::t13_slack_ablation(n, d, sorter));
     }
     if want("T14") {
-        out.push(tables::t14_q_sweep(sizes::t14_n(quick), threads, sorter));
+        out.push(tables::t14_q_sweep(sizes::t14_n(quick), sorter));
     }
     if want("T15") {
         let (n, d) = sizes::t4_size(quick);
-        out.push(tables::t15_stage_deltas(n, d, 2, threads, sorter));
-    }
-    if want("T16") {
-        // Wall-clock columns vary run to run; everything else in the
-        // table is part of the determinism contract.
-        let (n, ppn) = if quick { (1024, 8) } else { (4096, 16) };
-        out.push(tables::t16_parallel_speedup(n, ppn, &[1, 2, 4, 8]));
+        out.push(tables::t15_stage_deltas(n, d, 2, sorter));
     }
     if want("T17") {
         // Same sizes in quick and standard: the columnsort crossover sits
@@ -192,7 +171,7 @@ fn main() {
         if full {
             t17_ns.push(65536);
         }
-        let (table, json) = tables::t17_sorters(&t17_ns, threads);
+        let (table, json) = tables::t17_sorters(&t17_ns);
         out.push(table);
         write_artifact(quick, "BENCH_sorters.json", &json);
     }
@@ -218,9 +197,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn threads_default_to_one() {
-        let args = |words: &[&str]| parse_args(words.iter().map(|w| w.to_string())).unwrap();
-        assert_eq!(args(&["quick", "T12"]).threads, 1);
-        assert_eq!(args(&["T12", "--threads", "8"]).threads, 8);
+    fn parses_modes_tables_and_sorter() {
+        let args = |words: &[&str]| parse_args(words.iter().map(|w| w.to_string()));
+        let a = args(&["quick", "t12", "--sorter", "shearsort"]).unwrap();
+        assert!(a.quick && !a.full);
+        assert_eq!(a.selected, ["T12"]);
+        assert_eq!(a.sorter, Sorter::Shearsort);
+        assert_eq!(args(&[]).unwrap().sorter, Sorter::default());
+        for bad in [&["--threads", "1"][..], &["T16"], &["T18"], &["--sorter"]] {
+            assert!(args(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

@@ -53,11 +53,9 @@ impl Table {
     }
 }
 
-/// A simulation configuration with the run's thread count and sorter.
-fn config(n: u64, memory: u64, threads: usize, sorter: Sorter) -> SimConfig {
-    SimConfig::new(n, memory)
-        .with_threads(threads)
-        .with_sorter(sorter)
+/// A simulation configuration with the run's sorter.
+fn config(n: u64, memory: u64, sorter: Sorter) -> SimConfig {
+    SimConfig::new(n, memory).with_sorter(sorter)
 }
 
 fn f(x: f64) -> String {
@@ -71,13 +69,7 @@ fn f(x: f64) -> String {
 /// **T1 (Theorem 1/4).** Full-simulation slowdown versus mesh size with
 /// `α` held roughly constant by scaling `d` with `n`; exponent fit
 /// against the paper's bound and the `Ω(√n)` diameter floor.
-pub fn t1_slowdown(
-    sizes: &[(u64, u32)],
-    k: u32,
-    analytic: bool,
-    threads: usize,
-    sorter: Sorter,
-) -> Table {
+pub fn t1_slowdown(sizes: &[(u64, u32)], k: u32, analytic: bool, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     let mut rand_pts = Vec::new();
     let mut adv_pts = Vec::new();
@@ -87,7 +79,7 @@ pub fn t1_slowdown(
         let alpha = params.alpha();
         alphas.push(alpha);
         let mut sim = PramMeshSim::new(
-            config(n, params.num_variables, threads, sorter)
+            config(n, params.num_variables, sorter)
                 .with_k(k)
                 .with_analytic_sort(analytic),
         )
@@ -170,8 +162,8 @@ pub fn t1_slowdown(
 
 /// **T2 (Theorem 2).** Flat `(l1, l2)`-routing measured steps against
 /// the `√(l1·l2·n) + l1·√n` bound.
-pub fn t2_routing(ns: &[u64], l1s: &[u64], threads: usize, sorter: Sorter) -> Table {
-    let mut ctx = ExecCtx::new(threads, sorter, false);
+pub fn t2_routing(ns: &[u64], l1s: &[u64], sorter: Sorter) -> Table {
+    let mut ctx = ExecCtx::new(1, sorter, false);
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     for &l1 in l1s {
@@ -228,8 +220,8 @@ pub fn t2_routing(ns: &[u64], l1s: &[u64], threads: usize, sorter: Sorter) -> Ta
 
 /// **T3 (Section 2).** Hierarchical `(l1, l2, δ, m)`-routing vs flat and
 /// greedy on receive-skewed instances, with the analytic bound ratio.
-pub fn t3_hierarchical(ns: &[u64], l1: u64, threads: usize, sorter: Sorter) -> Table {
-    let mut ctx = ExecCtx::new(threads, sorter, false);
+pub fn t3_hierarchical(ns: &[u64], l1: u64, sorter: Sorter) -> Table {
+    let mut ctx = ExecCtx::new(1, sorter, false);
     let mut rows = Vec::new();
     for &n in ns {
         let shape = MeshShape::square_of(n).expect("square n");
@@ -283,8 +275,8 @@ pub fn t3_hierarchical(ns: &[u64], l1: u64, threads: usize, sorter: Sorter) -> T
 
 /// **T4 (Theorem 3).** Post-culling page loads per level against the
 /// `4·q^k·n^{1-1/2^i}` bound, for adversarial and random request sets.
-pub fn t4_culling_bounds(n: u64, d: u32, k: u32, threads: usize, sorter: Sorter) -> Table {
-    let mut ctx = ExecCtx::new(threads, sorter, false);
+pub fn t4_culling_bounds(n: u64, d: u32, k: u32, sorter: Sorter) -> Table {
+    let mut ctx = ExecCtx::new(1, sorter, false);
     let params = HmosParams::with_d(3, k, n, d).expect("valid T4 configuration");
     let hmos = Hmos::new(params).unwrap();
     let active = n.min(hmos.num_variables());
@@ -342,8 +334,8 @@ pub fn t4_culling_bounds(n: u64, d: u32, k: u32, threads: usize, sorter: Sorter)
 
 /// **T5 (Eq. 2).** Culling time versus `√n` with the request count
 /// fixed: `T_culling ∈ O(k·q^k·√n)`.
-pub fn t5_culling_time(sizes: &[(u64, u32)], k: u32, threads: usize, sorter: Sorter) -> Table {
-    let mut ctx = ExecCtx::new(threads, sorter, false);
+pub fn t5_culling_time(sizes: &[(u64, u32)], k: u32, sorter: Sorter) -> Table {
+    let mut ctx = ExecCtx::new(1, sorter, false);
     let mut rows = Vec::new();
     let mut pts = Vec::new();
     for &(n, d) in sizes {
@@ -519,7 +511,7 @@ pub fn t8_structure(configs: &[(u64, u32, u32)]) -> Table {
 
 /// **T9 (Theorem 4 proof).** Redundancy/time trade-off: vary `k` at
 /// fixed `n` and memory.
-pub fn t9_redundancy(n: u64, d: u32, ks: &[u32], threads: usize, sorter: Sorter) -> Table {
+pub fn t9_redundancy(n: u64, d: u32, ks: &[u32], sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     for &k in ks {
         let params = match HmosParams::with_d(3, k, n, d) {
@@ -536,8 +528,8 @@ pub fn t9_redundancy(n: u64, d: u32, ks: &[u32], threads: usize, sorter: Sorter)
             }
         };
         let alpha = params.alpha();
-        let mut sim = PramMeshSim::new(config(n, params.num_variables, threads, sorter).with_k(k))
-            .expect("valid sim");
+        let mut sim =
+            PramMeshSim::new(config(n, params.num_variables, sorter).with_k(k)).expect("valid sim");
         let active = n.min(sim.num_variables());
         let vars = workload::multi_module_adversary(sim.hmos(), active, 0);
         let t = sim.step(&PramStep::reads(&vars)).unwrap().total_steps;
@@ -567,15 +559,15 @@ pub fn t9_redundancy(n: u64, d: u32, ks: &[u32], threads: usize, sorter: Sorter)
 
 /// **T10 (Section 1).** Worst-case behaviour of the baselines vs the
 /// HMOS scheme on `n` nodes with `memory` requested.
-pub fn t10_baselines(n: u64, memory: u64, threads: usize, sorter: Sorter) -> Table {
-    let mut sim = PramMeshSim::new(config(n, memory, threads, sorter)).expect("valid sim");
+pub fn t10_baselines(n: u64, memory: u64, sorter: Sorter) -> Table {
+    let mut sim = PramMeshSim::new(config(n, memory, sorter)).expect("valid sim");
     let nv = sim.num_variables();
     // The single-copy scheme has no BIBD structure, so it gets the large
     // (n²-variable) memory its worst case needs: n variables that all
     // home on node 0.
-    let mut single = SingleCopySim::new(n, n * n, threads, sorter).unwrap();
-    let mut mv = MehlhornVishkinSim::new(n, nv, 3, threads, sorter).unwrap();
-    let mut flat = FlatHmosSim::new(3, 2, n, memory, threads, sorter).unwrap();
+    let mut single = SingleCopySim::new(n, n * n, sorter).unwrap();
+    let mut mv = MehlhornVishkinSim::new(n, nv, 3, sorter).unwrap();
+    let mut flat = FlatHmosSim::new(3, 2, n, memory, sorter).unwrap();
 
     let uniform = workload::random_distinct(n.min(nv), nv, 7);
     let single_uniform = workload::random_distinct(n, n * n, 7);
@@ -669,17 +661,11 @@ pub fn t10_baselines(n: u64, memory: u64, threads: usize, sorter: Sorter) -> Tab
 /// **T11 (Definition 2).** Randomized consistency audit: mixed programs
 /// against an ideal memory on `n` nodes with `memory` requested; counts
 /// agreeing reads.
-pub fn t11_consistency(
-    programs: u64,
-    n: u64,
-    memory: u64,
-    threads: usize,
-    sorter: Sorter,
-) -> Table {
+pub fn t11_consistency(programs: u64, n: u64, memory: u64, sorter: Sorter) -> Table {
     let mut rng = SplitMix64(2024);
     let mut total_reads = 0u64;
     let mut agree = 0u64;
-    let mut sim = PramMeshSim::new(config(n, memory, threads, sorter)).expect("valid sim");
+    let mut sim = PramMeshSim::new(config(n, memory, sorter)).expect("valid sim");
     let nv = sim.num_variables();
     let mut ideal = std::collections::HashMap::new();
     for _ in 0..programs {
@@ -753,7 +739,7 @@ pub fn t11_consistency(
 /// are *detected* (unrecoverable), never silent. The freshest-timestamp
 /// rule, by contrast, is silently fooled by forged timestamps — the
 /// trace checker's `silent-wrong` column is the proof either way.
-pub fn t12_fault_sweep(n: u64, d: u32, seed: u64, threads: usize, sorter: Sorter) -> Table {
+pub fn t12_fault_sweep(n: u64, d: u32, seed: u64, sorter: Sorter) -> Table {
     use prasim_core::ReadPolicy;
     use prasim_fault::{CopyFaultKind, FaultPlan};
     use prasim_hmos::TargetSpec;
@@ -796,10 +782,9 @@ pub fn t12_fault_sweep(n: u64, d: u32, seed: u64, threads: usize, sorter: Sorter
     let mut rows = Vec::new();
     let mut baseline = 0.0f64;
     for (label, policy, per_var, dead, severed, lossy) in cases {
-        let mut sim = PramMeshSim::new(
-            config(n, params.num_variables, threads, sorter).with_read_policy(policy),
-        )
-        .expect("valid sim");
+        let mut sim =
+            PramMeshSim::new(config(n, params.num_variables, sorter).with_read_policy(policy))
+                .expect("valid sim");
         let shape = sim.hmos().shape();
         let mut plan = FaultPlan::new(seed);
         if dead > 0 {
@@ -877,12 +862,12 @@ pub fn t12_fault_sweep(n: u64, d: u32, seed: u64, threads: usize, sorter: Sorter
 /// **T15 (Eqs. 5, 6).** Per-stage packet loads δ_i of the access
 /// protocol against the paper's bounds: `δ_i ≤ 4·q^k·n^{1-1/2^i}/t_i`
 /// (Eq. 5) and `δ_0 ∈ O(q^k·min(√n, n^{α-1}))` (Eq. 6).
-pub fn t15_stage_deltas(n: u64, d: u32, k: u32, threads: usize, sorter: Sorter) -> Table {
+pub fn t15_stage_deltas(n: u64, d: u32, k: u32, sorter: Sorter) -> Table {
     let params = HmosParams::with_d(3, k, n, d).expect("valid T15 configuration");
     let alpha = params.alpha();
     let qk = params.redundancy() as f64;
-    let mut sim = PramMeshSim::new(config(n, params.num_variables, threads, sorter).with_k(k))
-        .expect("valid sim");
+    let mut sim =
+        PramMeshSim::new(config(n, params.num_variables, sorter).with_k(k)).expect("valid sim");
     let hmos_extents: Vec<(u64, u64)> = (1..=k).map(|i| sim.hmos().level_extents(i)).collect();
     let active = n.min(sim.num_variables());
     let mut rows = Vec::new();
@@ -940,8 +925,8 @@ pub fn t15_stage_deltas(n: u64, d: u32, k: u32, threads: usize, sorter: Sorter) 
 /// **T13 (ablation).** Tightening the culling marking bound (slack < 1)
 /// forces the `S_v` fallback branch and shows how the selection quality
 /// degrades gracefully: page loads stay bounded, fallbacks grow.
-pub fn t13_slack_ablation(n: u64, d: u32, threads: usize, sorter: Sorter) -> Table {
-    let mut ctx = ExecCtx::new(threads, sorter, false);
+pub fn t13_slack_ablation(n: u64, d: u32, sorter: Sorter) -> Table {
+    let mut ctx = ExecCtx::new(1, sorter, false);
     let hmos = Hmos::new(HmosParams::with_d(3, 2, n, d).expect("valid T13 configuration")).unwrap();
     let active = n.min(hmos.num_variables());
     let vars = workload::multi_module_adversary(&hmos, active, 0);
@@ -993,7 +978,7 @@ pub fn t13_slack_ablation(n: u64, d: u32, threads: usize, sorter: Sorter) -> Tab
 /// **T14 (Theorem 4 proof).** "Both `T_sim` and `q^k` are increasing
 /// functions of `q`, therefore we use the smallest possible `q = 3`."
 /// Measured: same mesh and comparable memory, `q ∈ {3, 4, 5}`.
-pub fn t14_q_sweep(n: u64, threads: usize, sorter: Sorter) -> Table {
+pub fn t14_q_sweep(n: u64, sorter: Sorter) -> Table {
     let mut rows = Vec::new();
     for q in T14_QS {
         let d = t14_degree(q, n);
@@ -1010,8 +995,8 @@ pub fn t14_q_sweep(n: u64, threads: usize, sorter: Sorter) -> Table {
                 continue;
             }
         };
-        let mut sim = PramMeshSim::new(config(n, params.num_variables, threads, sorter).with_q(q))
-            .expect("valid sim");
+        let mut sim =
+            PramMeshSim::new(config(n, params.num_variables, sorter).with_q(q)).expect("valid sim");
         let active = n.min(sim.num_variables());
         let vars = workload::multi_module_adversary(sim.hmos(), active, 0);
         let t = sim.step(&PramStep::reads(&vars)).unwrap().total_steps;
@@ -1035,94 +1020,11 @@ pub fn t14_q_sweep(n: u64, threads: usize, sorter: Sorter) -> Table {
     }
 }
 
-/// **T16 (sharded engine).** Wall-clock scaling of the row-banded
-/// parallel engine on one saturated greedy routing phase, with the
-/// byte-determinism contract visible in-table: steps, delivered, hops
-/// and max queue must be identical on every row — only the wall clock
-/// may differ. Wall-clock columns vary run to run and machine to
-/// machine, so the CI determinism matrix diffs T12/T2 instead of T16;
-/// speedups above 1 require actual cores (single-core hosts show ~1×
-/// with banding overhead).
-pub fn t16_parallel_speedup(n: u64, packets_per_node: u64, threads: &[usize]) -> Table {
-    use prasim_mesh::engine::{Engine, Packet};
-    use std::time::Instant;
-
-    let shape = MeshShape::square_of(n).expect("square n");
-    let full = Rect::full(shape);
-    let mut rows = Vec::new();
-    let mut base_wall = None;
-    let mut base_obs = None;
-    for &t in threads {
-        let mut engine = Engine::new(shape).with_threads(t);
-        let mut rng = SplitMix64(0xC0FFEE ^ n);
-        let mut id = 0u64;
-        for node in 0..shape.nodes() as u32 {
-            let src = shape.coord(node);
-            for _ in 0..packets_per_node {
-                let dest = shape.coord((rng.next_u64() % shape.nodes()) as u32);
-                engine.inject(
-                    src,
-                    Packet {
-                        id,
-                        dest,
-                        bounds: full,
-                        tag: id,
-                    },
-                );
-                id += 1;
-            }
-        }
-        let t0 = Instant::now();
-        let stats = engine.run(100_000_000).expect("routing finishes");
-        let wall = t0.elapsed().as_secs_f64();
-        let obs = (stats, engine.drain_delivered().count());
-        let base = *base_wall.get_or_insert(wall);
-        match &base_obs {
-            None => base_obs = Some(obs),
-            Some(b) => assert_eq!(b, &obs, "determinism violated at {t} threads"),
-        }
-        rows.push(vec![
-            t.to_string(),
-            stats.steps.to_string(),
-            stats.delivered.to_string(),
-            stats.total_hops.to_string(),
-            stats.max_queue.to_string(),
-            format!("{:.3}", wall),
-            format!("{:.2}x", base / wall),
-        ]);
-    }
-    Table {
-        id: "T16",
-        title: format!(
-            "sharded engine — wall-clock scaling, n = {n}, {packets_per_node} packets/node \
-             (steps/delivered/hops/queue identical by construction)"
-        ),
-        header: [
-            "threads",
-            "steps",
-            "delivered",
-            "total hops",
-            "max queue",
-            "wall s",
-            "speedup",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-        notes: vec![
-            "every column except the wall clock is byte-identical across thread counts — \
-             asserted in-process and enforced end-to-end by the CI determinism matrix"
-                .into(),
-        ],
-    }
-}
-
 /// **T17 (sorter comparison).** Step-simulated columnsort against
 /// merge-split shearsort on identical random inputs (`h = 1` key per
 /// node), with fitted growth exponents. Also returns the table as a
 /// machine-readable JSON document (`BENCH_sorters.json`).
-pub fn t17_sorters(ns: &[u64], threads: usize) -> (Table, String) {
+pub fn t17_sorters(ns: &[u64]) -> (Table, String) {
     let sorters = [Sorter::Shearsort, Sorter::Columnsort];
     let mut steps: Vec<Vec<u64>> = vec![Vec::new(); sorters.len()];
     let mut rows = Vec::new();
@@ -1133,7 +1035,7 @@ pub fn t17_sorters(ns: &[u64], threads: usize) -> (Table, String) {
         let input: Vec<(u32, u64)> = (0..n as u32).map(|p| (p, rng.next_u64())).collect();
         let mut row = vec![n.to_string()];
         for (si, s) in sorters.iter().enumerate() {
-            let sorted = ExecCtx::new(threads, *s, false).sort_pairs(
+            let sorted = ExecCtx::new(1, *s, false).sort_pairs(
                 input.iter().copied(),
                 shape.rows,
                 shape.cols,

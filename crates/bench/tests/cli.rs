@@ -1,7 +1,7 @@
 //! The `reproduce` binary rejects what it does not understand: an
 //! unknown or removed flag, a value-taking flag given no value, a
-//! malformed value and an unknown or retired table id (T18, T19) all
-//! exit with status 2 before any table runs.
+//! malformed value and an unknown or retired table id (T16, T18, T19)
+//! all exit with status 2 before any table runs.
 
 use std::process::Command;
 
@@ -10,9 +10,10 @@ fn bad_arguments_exit_2() {
     for args in [
         &["quick", "T2", "--ctx", "fresh"][..],
         &["quick", "T2", "--threads"],
-        &["quick", "T2", "--threads", "0"],
+        &["quick", "T2", "--threads", "1"],
         &["quick", "T2", "--sorter", "bitonic"],
         &["quick", "T99"],
+        &["quick", "T16"],
         &["quick", "T18"],
         &["quick", "T19"],
         &["--help"],

@@ -47,8 +47,8 @@ pub trait BaselineScheme {
     fn name(&self) -> &'static str;
     /// Simulates one PRAM step.
     fn step(&mut self, step: &PramStep) -> Result<BaselineReport, SimError>;
-    /// The scheme's execution context (pooled engines and worker
-    /// threads, sorter resources).
+    /// The scheme's execution context (pooled engines, sorter
+    /// resources).
     fn exec(&mut self) -> &mut ExecCtx;
 }
 
@@ -96,15 +96,14 @@ pub struct SingleCopySim {
 
 impl SingleCopySim {
     /// Builds the scheme on an `n`-node mesh with the given memory size;
-    /// its engines run on `threads` workers and its pre-routing sort on
-    /// `sorter`.
-    pub fn new(n: u64, num_variables: u64, threads: usize, sorter: Sorter) -> Option<Self> {
+    /// its pre-routing sort runs on `sorter`.
+    pub fn new(n: u64, num_variables: u64, sorter: Sorter) -> Option<Self> {
         let shape = MeshShape::square_of(n)?;
         Some(SingleCopySim {
             shape,
             num_variables,
             memory: vec![HashMap::new(); n as usize],
-            exec: ExecCtx::new(threads, sorter, false),
+            exec: ExecCtx::new(1, sorter, false),
         })
     }
 
@@ -166,9 +165,9 @@ pub struct MehlhornVishkinSim {
 }
 
 impl MehlhornVishkinSim {
-    /// Builds the scheme with redundancy `c ≥ 1`; its engines run on
-    /// `threads` workers and its pre-routing sort on `sorter`.
-    pub fn new(n: u64, num_variables: u64, c: u32, threads: usize, sorter: Sorter) -> Option<Self> {
+    /// Builds the scheme with redundancy `c ≥ 1`; its pre-routing sort
+    /// runs on `sorter`.
+    pub fn new(n: u64, num_variables: u64, c: u32, sorter: Sorter) -> Option<Self> {
         let shape = MeshShape::square_of(n)?;
         assert!(c >= 1);
         Some(MehlhornVishkinSim {
@@ -176,7 +175,7 @@ impl MehlhornVishkinSim {
             num_variables,
             c,
             memory: vec![HashMap::new(); n as usize],
-            exec: ExecCtx::new(threads, sorter, false),
+            exec: ExecCtx::new(1, sorter, false),
         })
     }
 
@@ -262,16 +261,8 @@ pub struct FlatHmosSim {
 
 impl FlatHmosSim {
     /// Builds the scheme with the same parameters as the full simulator;
-    /// its engines run on `threads` workers and its pre-routing sort on
-    /// `sorter`.
-    pub fn new(
-        q: u64,
-        k: u32,
-        n: u64,
-        memory_size: u64,
-        threads: usize,
-        sorter: Sorter,
-    ) -> Result<Self, SimError> {
+    /// its pre-routing sort runs on `sorter`.
+    pub fn new(q: u64, k: u32, n: u64, memory_size: u64, sorter: Sorter) -> Result<Self, SimError> {
         let params = HmosParams::new(q, k, n, memory_size)?;
         let spec = TargetSpec {
             q: params.q,
@@ -283,7 +274,7 @@ impl FlatHmosSim {
             hmos,
             spec,
             clock: 0,
-            exec: ExecCtx::new(threads, sorter, false),
+            exec: ExecCtx::new(1, sorter, false),
         })
     }
 
@@ -369,7 +360,7 @@ mod tests {
 
     #[test]
     fn single_copy_roundtrip() {
-        let mut s = SingleCopySim::new(256, 10_000, 1, Sorter::default()).unwrap();
+        let mut s = SingleCopySim::new(256, 10_000, Sorter::default()).unwrap();
         let vars = workload::random_distinct(256, 10_000, 3);
         s.step(&PramStep::writes(&vars, &vars)).unwrap();
         let r = s.step(&PramStep::reads(&vars)).unwrap();
@@ -381,7 +372,7 @@ mod tests {
     #[test]
     fn single_copy_worst_case_serializes() {
         // All requests to variables with the same home: access time Θ(n).
-        let mut s = SingleCopySim::new(256, 100_000, 1, Sorter::default()).unwrap();
+        let mut s = SingleCopySim::new(256, 100_000, Sorter::default()).unwrap();
         let vars: Vec<u64> = (0..256u64).map(|i| i * 256).collect(); // all home 0
         let r = s.step(&PramStep::reads(&vars)).unwrap();
         assert_eq!(r.access_steps, 256);
@@ -393,7 +384,7 @@ mod tests {
 
     #[test]
     fn mv_roundtrip_and_write_amplification() {
-        let mut s = MehlhornVishkinSim::new(256, 10_000, 3, 1, Sorter::default()).unwrap();
+        let mut s = MehlhornVishkinSim::new(256, 10_000, 3, Sorter::default()).unwrap();
         let vars = workload::random_distinct(256, 10_000, 5);
         let w = s.step(&PramStep::writes(&vars, &vars)).unwrap();
         let r = s.step(&PramStep::reads(&vars)).unwrap();
@@ -406,7 +397,7 @@ mod tests {
 
     #[test]
     fn flat_hmos_roundtrip() {
-        let mut s = FlatHmosSim::new(3, 2, 1024, 1000, 1, Sorter::default()).unwrap();
+        let mut s = FlatHmosSim::new(3, 2, 1024, 1000, Sorter::default()).unwrap();
         let vars = workload::random_distinct(512, s.num_variables(), 7);
         s.step(&PramStep::writes(&vars, &vars)).unwrap();
         let r = s.step(&PramStep::reads(&vars)).unwrap();
@@ -419,7 +410,7 @@ mod tests {
     fn flat_hmos_consistent_across_target_sets() {
         // The fixed target sets still satisfy the intersection property,
         // so overwrites are visible.
-        let mut s = FlatHmosSim::new(3, 2, 1024, 1000, 1, Sorter::default()).unwrap();
+        let mut s = FlatHmosSim::new(3, 2, 1024, 1000, Sorter::default()).unwrap();
         s.step(&PramStep::writes(&[42], &[1])).unwrap();
         s.step(&PramStep::writes(&[42], &[2])).unwrap();
         let r = s.step(&PramStep::reads(&[42])).unwrap();

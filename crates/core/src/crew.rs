@@ -157,9 +157,7 @@ pub fn step_crew(sim: &mut PramMeshSim, step: &PramStep) -> Result<CrewReport, S
     // Return routing: each request packet travels from its sorted
     // position back to its origin processor. Values ride in a side
     // table indexed by packet id (tags stay small). The engine comes
-    // from the simulator's execution context, so it carries the
-    // configured thread count (a bare `Engine::new` here used to ignore
-    // it).
+    // from the simulator's execution context's pool.
     let mut engine = sim.exec().engine(shape);
     let mut results: Vec<Option<u64>> = vec![None; step.ops.len()];
     let mut payloads: Vec<(u32, u64)> = Vec::new();

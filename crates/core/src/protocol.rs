@@ -53,8 +53,8 @@ pub enum ReadPolicy {
     HierarchicalMajority,
 }
 
-/// Per-call knobs of [`access_protocol`]. Execution resources — worker
-/// threads, the stage sorter, analytic-vs-measured charging — live on
+/// Per-call knobs of [`access_protocol`]. Execution resources — engines,
+/// the stage sorter, analytic-vs-measured charging — live on
 /// the [`ExecCtx`] the protocol borrows; `RunOptions` carries only the
 /// per-step semantics: the clock, budgets, read policy, and faults.
 #[derive(Debug, Clone, Copy)]

@@ -34,9 +34,10 @@ pub struct SimConfig {
     /// [`ReadPolicy::HierarchicalMajority`] to read via Definition 2's
     /// quorum over all `q^k` copies (required for fault tolerance).
     pub read_policy: ReadPolicy,
-    /// Worker threads the mesh engines shard their rows across (1 =
-    /// sequential, the default). Results are byte-identical for every
-    /// value — only wall-clock time changes.
+    // Ignored, and always 1: kept only so stepbench compiles (its traced
+    // mirror passes it to `ExecCtx::new`); goes with the benchmark change
+    // of ROADMAP item 1.
+    #[doc(hidden)]
     pub threads: usize,
     /// The step-simulated mesh sorter CULLING and the access protocol
     /// run on. Defaults to [`prasim_sortnet::Sorter::default`]
@@ -46,7 +47,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The default configuration: `q = 3`, `k = 2`, generous engine
-    /// budget, 1 thread, the default sorter.
+    /// budget, the default sorter.
     pub fn new(n: u64, memory: u64) -> Self {
         SimConfig {
             n,
@@ -62,9 +63,10 @@ impl SimConfig {
         }
     }
 
-    /// Sets the engine worker-thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    // Ignores its argument: kept only so stepbench compiles; goes with
+    // the benchmark change of ROADMAP item 1.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -212,7 +214,7 @@ impl PramMeshSim {
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
         let params = HmosParams::new(config.q, config.k, config.n, config.memory)?;
         let hmos = Hmos::new(params)?;
-        let exec = ExecCtx::new(config.threads, config.sorter, config.analytic_sort);
+        let exec = ExecCtx::new(1, config.sorter, config.analytic_sort);
         Ok(PramMeshSim {
             memory: vec![HashMap::new(); config.n as usize],
             hmos,
@@ -224,8 +226,8 @@ impl PramMeshSim {
         })
     }
 
-    /// The simulation's execution context (pooled engines and worker
-    /// threads, sorter resources, cost ledger).
+    /// The simulation's execution context (pooled engines, sorter
+    /// resources, cost ledger).
     pub fn exec(&mut self) -> &mut ExecCtx {
         &mut self.exec
     }

@@ -5,24 +5,20 @@
 //! `(l1,l2)`-routing layers and columnsort's permutation measurements —
 //! runs packets on the store-and-forward engine and sorts through the
 //! pluggable sorter. Before this layer, each of those call sites
-//! re-threaded the cross-cutting knobs (`threads`, `sorter`, `analytic`)
-//! by hand, rebuilt `Engine`s per stage and shared one process-global
-//! columnsort route memo.
+//! re-threaded the cross-cutting knobs (`sorter`, `analytic`) by hand,
+//! rebuilt `Engine`s per stage and shared one process-global columnsort
+//! route memo.
 //!
 //! [`ExecCtx`] consolidates that state into one value built per
-//! simulation. Besides its thread count and sorter it owns three things:
+//! simulation. Besides its sorter it owns three things:
 //!
 //! - an [`EnginePool`] keyed by submesh shape, so repeated stages reuse
-//!   engines and their per-node queue buffers; every checkout carries
-//!   the context's thread count;
+//!   engines and their per-node queue buffers;
 //! - the columnsort [`RouteMemo`] for the route costs the committed
 //!   table lacks, moved off globals so concurrent simulations neither
 //!   contend nor cross-pollinate;
 //! - a [`CostLedger`] that decides analytic-vs-measured charging in one
 //!   place (the only caller of [`SortCost::charged`]).
-//!
-//! A context owns no threads: a multi-threaded engine spawns its band
-//! workers for one run and joins them before the run returns.
 //!
 //! Every sort goes through [`ExecCtx::sort_pairs`]: the caller hands
 //! over `(snake position, key)` pairs for a submesh and gets a
@@ -30,10 +26,10 @@
 //! cost). No caller builds per-node buffers or works out `h` itself.
 //!
 //! The context is the only way to configure a run: there is no
-//! process-wide thread count, sorter or context mode, and no library
-//! crate reads the environment. [`ExecCtx::default`] is 1 thread and
-//! [`Sorter::default`]; the CLIs parse `--threads`/`--sorter` once and
-//! pass them to [`ExecCtx::new`] (or `SimConfig`). Reusing one context
+//! process-wide sorter or context mode, and no library crate reads the
+//! environment. [`ExecCtx::default`] is [`Sorter::default`] with
+//! measured charging; the CLIs parse `--sorter` once and pass it to
+//! [`ExecCtx::new`] (or `SimConfig`). Reusing one context
 //! across steps only moves wall clock: a simulation that swaps in a
 //! fresh [`ExecCtx::new`] before every step produces byte-identical
 //! output. No process-wide state backs a context.
@@ -110,7 +106,6 @@ impl CostLedger {
 /// drilling individual knobs.
 #[derive(Debug)]
 pub struct ExecCtx {
-    threads: usize,
     sorter: Sorter,
     engines: EnginePool,
     ledger: CostLedger,
@@ -118,7 +113,7 @@ pub struct ExecCtx {
 }
 
 impl Default for ExecCtx {
-    /// One worker thread, the default sorter, measured charging.
+    /// The default sorter, measured charging.
     fn default() -> Self {
         Self::new(1, Sorter::default(), false)
     }
@@ -126,25 +121,17 @@ impl Default for ExecCtx {
 
 impl ExecCtx {
     /// A context with explicit knobs and an empty engine pool.
-    pub fn new(threads: usize, sorter: Sorter, analytic: bool) -> Self {
-        let threads = threads.max(1);
-        // Every engine the pool hands out — including the ones columnsort
-        // checks out for its route measurements — runs on the context's
-        // thread count.
-        let mut engines = EnginePool::new();
-        engines.configure(threads);
+    ///
+    /// The first argument is ignored (pass 1): it is kept only so
+    /// stepbench compiles against this signature, and goes with the
+    /// benchmark change of ROADMAP item 1.
+    pub fn new(_threads: usize, sorter: Sorter, analytic: bool) -> Self {
         ExecCtx {
-            threads,
             sorter,
-            engines,
+            engines: EnginePool::new(),
             ledger: CostLedger::new(analytic),
             memo: RouteMemo::new(),
         }
-    }
-
-    /// The configured engine worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The configured sorter.
@@ -162,8 +149,7 @@ impl ExecCtx {
         &mut self.ledger
     }
 
-    /// The engine pool (for direct checkout/recycle bookkeeping). Its
-    /// engines carry the context's thread count.
+    /// The engine pool (for direct checkout/recycle bookkeeping).
     pub fn engine_pool(&mut self) -> &mut EnginePool {
         &mut self.engines
     }
@@ -174,8 +160,7 @@ impl ExecCtx {
         &self.memo
     }
 
-    /// Checks out an engine on `shape`, configured with the context's
-    /// thread count. Return it with
+    /// Checks out a reset engine on `shape`. Return it with
     /// [`ExecCtx::recycle`] when the stage is done.
     pub fn engine(&mut self, shape: MeshShape) -> Engine {
         self.engines.checkout(shape)
@@ -234,8 +219,8 @@ impl ExecCtx {
     #[doc(hidden)]
     pub fn maybe_renew(&mut self) {}
 
-    // Kept only for stepbench/src/main.rs, its one caller: a context
-    // owns no worker threads, so the count it reads is always 0.
+    // Kept only for stepbench/src/main.rs, its one caller: the engine
+    // runs on the calling thread, so the count it reads is always 0.
     #[doc(hidden)]
     pub fn worker_pool(&self) -> NoWorkers {
         NoWorkers
@@ -279,11 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn engines_are_pooled_and_configured() {
-        let mut ctx = ExecCtx::new(3, Sorter::Shearsort, false);
+    fn engines_are_pooled() {
+        let mut ctx = ExecCtx::new(1, Sorter::Shearsort, false);
         let shape = MeshShape::square(4);
         let a = ctx.engine(shape);
-        assert_eq!(a.threads(), 3);
+        assert_eq!(ctx.engine_pool().created(), 1);
         ctx.recycle(a);
         let b = ctx.engine(shape);
         assert_eq!(ctx.engine_pool().reused(), 1);

@@ -3,7 +3,7 @@
 //! Every packet injected into an [`crate::engine::Engine`] lives in one
 //! contiguous [`PacketArena`]: ids, destinations, bounding rectangles,
 //! tags and detour budgets as parallel arrays indexed by a [`PacketRef`]
-//! (the packet's injection ordinal as a `u32`). Queues, handoff buffers
+//! (the packet's injection ordinal as a `u32`). Queues, move buffers
 //! and the delivered list then carry 4-byte references instead of 48-byte
 //! [`Packet`]s, so a queue slot fits in 20 bytes, the hot arbitration
 //! loop streams over dense arrays, and draining delivered packets never

@@ -1,5 +1,5 @@
-//! Synchronous store-and-forward packet engine, sequential or sharded
-//! across worker threads, whose step follows the packets that move.
+//! Synchronous store-and-forward packet engine whose step follows the
+//! packets that move.
 //!
 //! Models the paper's machine: in each time step every node may send one
 //! packet along each of its (at most four) outgoing links and receive one
@@ -27,9 +27,9 @@
 //! fault mask. So the hop — direction, detour flag, or the verdict that
 //! the packet is stuck — is **decided once, when the packet arrives** (or
 //! is laid out at run start), and the packet joins its node's **run** for
-//! that direction. Each node owns one block of a per-band slot pool
-//! holding its four runs side by side, each with its own capacity, so a
-//! node's packets stay contiguous. A run is kept ordered by arbitration
+//! that direction. Each node owns one block of the slot pool holding its
+//! four runs side by side, each with its own capacity, so a node's
+//! packets stay contiguous. A run is kept ordered by arbitration
 //! priority with its winner last: nearer packets first, and among equal
 //! distances larger ids first. A step therefore pops at most four
 //! winners per node and rescans nothing; an arrival is inserted by a
@@ -41,7 +41,7 @@
 //! front and frees the blocks of empty nodes, so the pool stays within
 //! about twice the packets it holds.
 //!
-//! Each band keeps the list of its occupied nodes, and a step visits only
+//! The engine keeps the list of occupied nodes, and a step visits only
 //! those: compute pops each occupied node's winners, and the apply
 //! half-step handles each arrival once — delivered, dropped on a dead
 //! node, or decided and inserted — so it touches only nodes that receive
@@ -50,11 +50,10 @@
 //! arrivals are ranked by incoming link (north, west, east, south
 //! neighbour, i.e. ascending source node), and the removal is replayed on
 //! those ranks. Each step's deliveries are then ordered by node. Every
-//! buffer — pools, run tables, occupied lists, handoff queues, staging,
-//! the delivered list —
-//! is owned by the engine and cleared (never dropped) between steps and
-//! runs, so after warmup the step loop performs **zero heap
-//! allocation**; the `alloc_regression` integration test enforces this
+//! buffer — the pool, run table, occupied list, move and staging
+//! buffers, the delivered list — is owned by the engine and cleared
+//! (never dropped) between steps and runs, so after warmup the step loop
+//! performs **zero heap allocation**; the `alloc_regression` integration test enforces this
 //! with a counting global allocator.
 //!
 //! [`Packet`] remains the public boundary type: callers inject and drain
@@ -73,53 +72,30 @@
 //! its greedy hop directly unless that hop would undo its previous one,
 //! which the detour decision refuses; every other packet takes the full
 //! decision. Both happen on arrival, like the fault-free choice. A
-//! packet found stuck waits in its band's stuck list and is dropped in
+//! packet found stuck waits in the stuck list and is dropped in
 //! the first compute pass after it arrived, exactly when a full rescan
 //! would have found it. Lossy links keep every node clear: each
 //! traversal's loss is decided as the packet moves.
 //!
-//! # Sharded parallel execution
+//! # Determinism
 //!
-//! The machine is synchronous, so one step is an embarrassingly parallel
-//! per-node transition plus nearest-neighbor exchange. [`Engine`] exploits
-//! this by splitting the rows into contiguous **bands**, one per worker
-//! thread ([`Engine::with_threads`]), and running each step as two
-//! barrier-separated half-steps. The workers are scoped threads that
-//! live for one [`Engine::run`]: each owns its band's lane and trace
-//! slice for the run, and the calling thread frames the steps.
-//!
-//! 1. **compute** — every band pops the winners of its occupied nodes'
-//!    runs and appends the moves to one handoff slot per *destination*
-//!    band;
-//! 2. **apply** — after a barrier, every band drains the handoff slots
-//!    addressed to it *in fixed source-band order* into its staging
-//!    buffer, then lands the arrivals: absorbs those at their
-//!    destination and decides and inserts the rest.
-//!
-//! The handoff slots are engine-persistent `bands × bands` ring
-//! positions; publishing and draining swap `Vec`s, so capacity
-//! ping-pongs between a band's out-buffers and the ring instead of being
-//! reallocated per step.
-//!
-//! Arbitration reads only a run's order, the arrival order at a node is
-//! fixed by its incoming links, and each band's deliveries are ordered by
-//! node, so every arbitration decision, fault drop, detour, trace count
-//! and the [`Engine::drain_delivered`] order is **byte-identical for
-//! every thread count**. Both paths run the same per-band code
-//! (`compute_lane`/`apply_lane`); the sequential engine is simply the
-//! one-band instance. The property is enforced by the `engine_oracle`
-//! proptest, which pins every thread count to a sequential textbook
-//! oracle (one `Vec` queue per node, rescanned every step), and by the
-//! CI determinism matrix, which diffs whole reproduce tables across
-//! `--threads 1/2/8`.
+//! A step is two half-steps over one set of queues: **compute** pops the
+//! winners of the occupied nodes' runs into the move buffer, and
+//! **apply** lands those moves in ascending source-node order. Arbitration
+//! reads only a run's order (distance, then id), the arrival order at a
+//! node is fixed by its incoming links, the lossy-link hash sees only the
+//! step number, node, link and packet id, and deliveries are ordered by
+//! node. So every arbitration decision, fault drop, detour, trace count
+//! and the [`Engine::drain_delivered`] order is a function of the
+//! injected packets and the fault mask alone. The `engine_oracle`
+//! proptests pin all of it to a textbook oracle (one `Vec` queue per
+//! node, rescanned every step).
 
 use crate::arena::{PacketArena, PacketRef};
 use crate::fault::FaultMask;
 use crate::region::Rect;
 use crate::topology::{Coord, Dir, MeshShape};
 use crate::trace::LinkTrace;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// A packet in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,12 +163,9 @@ const NO_DIR: u8 = 4;
 /// (immutable) destination, and the per-hop flight state. The
 /// destination is duplicated out of the arena because arbitration (the
 /// comparisons placing each arrival in its run) and absorption (every
-/// arrival) both need
-/// it; reading it from the slot avoids a gather from the arena's
-/// destination column. Keeping the mutable state in the slot — it moves
-/// *with* the packet between runs and bands — means no band ever writes
-/// to a shared arena row, so the parallel step needs no synchronization
-/// beyond the handoff swap.
+/// arrival) both need it; reading it from the slot avoids a gather from
+/// the arena's destination column. The mutable state moves *with* the
+/// packet between runs, so the arena is never written during a run.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Arena index ([`PacketRef`] payload).
@@ -267,7 +240,7 @@ const DEAD: u8 = 1;
 /// holds (no severed out-link, no dead neighbour).
 const CLEAR: u8 = 2;
 
-/// A band's slot pool may grow to this many times its length after
+/// The slot pool may grow to this many times its length after
 /// layout (counted as at least one slot per node) or after the last
 /// `compact` before `compact` drops the garbage `grow_run` leaves.
 const POOL_GROWTH: usize = 2;
@@ -275,8 +248,7 @@ const POOL_GROWTH: usize = 2;
 /// Capacity `grow_run` gives a run that had none.
 const MIN_RUN: u32 = 2;
 
-/// Immutable inputs of one synchronous step, shared by the sequential
-/// path and every parallel worker.
+/// Immutable inputs of one synchronous step.
 #[derive(Clone, Copy)]
 struct StepCtx<'a> {
     shape: MeshShape,
@@ -404,7 +376,7 @@ impl StepCtx<'_> {
     }
 }
 
-/// One node's block in its band's slot pool: run `d` (the packets
+/// One node's block in the slot pool: run `d` (the packets
 /// waiting to hop in direction `d`, in arbitration order with the winner
 /// last: nearer to the destination first, and on equal distance larger
 /// id first) is `pool[start[d] .. start[d] + len[d]]`, with room up to
@@ -531,72 +503,53 @@ fn swap_remove_where<T: Copy>(q: &mut [T], mut take: impl FnMut(T) -> bool) -> u
     len
 }
 
-/// One band's queues and step scratch: the slot pool with one block of
+/// The engine's queues and step scratch: the slot pool with one block of
 /// runs per node, the occupied-node list, the stuck list, plus every
-/// per-step buffer the band needs — all engine-persistent, all cleared
+/// per-step buffer a step needs — all engine-persistent, all cleared
 /// rather than dropped, so a warm step allocates nothing.
 #[derive(Debug, Default)]
 struct Lane {
-    /// First global node index of the band.
-    node0: u32,
     /// Slot storage for every node's block of runs.
     pool: Vec<Slot>,
-    /// Per-local-node block of runs in `pool`.
+    /// Per-node block of runs in `pool`.
     runs: Vec<Runs>,
     /// Pool length past which the end of a step runs `compact`.
     compact_at: usize,
-    /// Per-local-node [`DEAD`] and [`CLEAR`] bits, fixed for a run.
+    /// Per-node [`DEAD`] and [`CLEAR`] bits, fixed for a run.
     flags: Vec<u8>,
-    /// Local nodes with at least one packet in a run, in no particular
-    /// order; each appears once.
+    /// Nodes with at least one packet in a run, in no particular order;
+    /// each appears once.
     occupied: Vec<u32>,
-    /// Packets found stuck on arrival, as `(global node, slot)`; the
-    /// next compute pass drops them.
+    /// Packets found stuck on arrival, as `(node, slot)`; the next
+    /// compute pass drops them.
     stuck: Vec<(u32, Slot)>,
-    /// Outgoing moves per destination band (swapped into the handoff).
-    out: Vec<Vec<(Coord, Slot)>>,
-    /// Incoming moves gathered from the handoff in source-band order.
+    /// This step's moves in source-node order, swapped into `staging`
+    /// between the half-steps (capacity ping-pongs between the two).
+    out: Vec<(Coord, Slot)>,
+    /// The moves the apply half-step lands.
     staging: Vec<(Coord, Slot)>,
-    /// Apply scratch, per local node, zero between steps: the incoming
-    /// links this step's arrivals used, by [`ARRIVAL_RANK`] (bits 0–3),
-    /// and how many of them did not join a run (bits 4–7).
+    /// Apply scratch, per node, zero between steps: the incoming links
+    /// this step's arrivals used, by [`ARRIVAL_RANK`] (bits 0–3), and how
+    /// many of them did not join a run (bits 4–7).
     arrived: Vec<u8>,
-    /// Apply scratch: this step's deliveries as `(local node · 4 +
-    /// arrival rank, arena index)`.
+    /// Apply scratch: this step's deliveries as `(node · 4 + arrival
+    /// rank, arena index)`.
     landed: Vec<(u32, u32)>,
     /// Largest queue seen this step (compute's survivors, then apply's
     /// survivors + arrivals).
     max_queue: usize,
-    /// This step's deliveries `(node, arena index)`, swapped out to the
-    /// coordinator each step.
-    delivered: Vec<(u32, u32)>,
 }
 
-/// One band's per-step counters, published to the coordinator; the
-/// delivered buffer is exchanged by `Vec` swap so neither side
-/// reallocates it.
-#[derive(Debug, Default)]
-struct StepOut {
-    hops: u64,
-    dropped: u64,
-    max_queue: usize,
-    delivered: Vec<(u32, u32)>,
-}
-
-/// One band's compute half-step: drop the packets found stuck on
-/// arrival, then pop the winner of every non-empty run of every occupied
-/// node and append the moves to `lane.out[band_of(next node)]`. Only
-/// this band's runs and trace slice are touched, so bands run
-/// concurrently. Returns `(hops, dropped)`.
+/// The compute half-step: drop the packets found stuck on arrival, then
+/// pop the winner of every non-empty run of every occupied node and
+/// append the moves to `lane.out`. Returns `(hops, dropped)`.
 fn compute_lane(
     ctx: &StepCtx<'_>,
     arena: &PacketArena,
     lane: &mut Lane,
     mut trace: Option<&mut [[u64; 4]]>,
-    band_of: impl Fn(Coord) -> usize,
 ) -> (u64, u64) {
     let Lane {
-        node0,
         pool,
         runs,
         occupied,
@@ -614,10 +567,9 @@ fn compute_lane(
     let mut most = 0;
     let mut kept = 0;
     for i in 0..occupied.len() {
-        let local = occupied[i];
-        let idx = *node0 + local;
+        let idx = occupied[i];
         let here = ctx.shape.coord(idx);
-        let r = &mut runs[local as usize];
+        let r = &mut runs[idx as usize];
         for (d, dir) in Dir::ALL.into_iter().enumerate() {
             if r.len[d] == 0 {
                 continue;
@@ -625,7 +577,7 @@ fn compute_lane(
             r.len[d] -= 1;
             let s = pool[(r.start[d] + r.len[d]) as usize];
             if let Some(counts) = trace.as_deref_mut() {
-                counts[local as usize][d] += 1;
+                counts[idx as usize][d] += 1;
             }
             hops += 1;
             let lost = lossy
@@ -642,12 +594,12 @@ fn compute_lane(
                 arena.bounds(PacketRef(s.pkt)).contains(next),
                 "packet left its bounds"
             );
-            out[band_of(next)].push((next, s.moved()));
+            out.push((next, s.moved()));
         }
         let left = r.total();
         most = most.max(left);
         if left > 0 {
-            occupied[kept] = local;
+            occupied[kept] = idx;
             kept += 1;
         }
     }
@@ -656,17 +608,20 @@ fn compute_lane(
     (hops, dropped)
 }
 
-/// One band's apply half-step over the staged arrivals (in global
-/// source order): each arrival is dropped on a dead node, delivered at
-/// its destination, or has its next hop decided and joins its run (or
-/// the stuck list). Deliveries land in `lane.delivered` in node order,
-/// each node's in the order swap-removal over its arrivals — ranked by
-/// incoming link — produces. Returns the band's largest queue —
-/// measured after arrivals land and before absorption — and the
-/// dead-node drop count.
-fn apply_lane(ctx: &StepCtx<'_>, arena: &PacketArena, lane: &mut Lane) -> (usize, u64) {
+/// The apply half-step over the staged arrivals (in source-node order):
+/// each arrival is dropped on a dead node, delivered at its destination,
+/// or has its next hop decided and joins its run (or the stuck list).
+/// Deliveries are appended to `delivered` in node order, each node's in
+/// the order swap-removal over its arrivals — ranked by incoming link —
+/// produces. Returns the largest queue — measured after arrivals land
+/// and before absorption — and the dead-node drop count.
+fn apply_lane(
+    ctx: &StepCtx<'_>,
+    arena: &PacketArena,
+    lane: &mut Lane,
+    delivered: &mut Vec<(u32, u32)>,
+) -> (usize, u64) {
     let Lane {
-        node0,
         pool,
         runs,
         compact_at,
@@ -677,28 +632,27 @@ fn apply_lane(ctx: &StepCtx<'_>, arena: &PacketArena, lane: &mut Lane) -> (usize
         arrived,
         landed,
         max_queue,
-        delivered,
         ..
     } = lane;
     let mut most = *max_queue as u32;
     let mut dropped = 0u64;
     for &(here, s) in staging.iter() {
         let idx = ctx.shape.index(here);
-        let local = (idx - *node0) as usize;
+        let node = idx as usize;
         let rank = ARRIVAL_RANK[s.last_dir() as usize];
-        arrived[local] |= 1 << rank;
-        let r = &mut runs[local];
-        let joined = if flags[local] & DEAD != 0 {
+        arrived[node] |= 1 << rank;
+        let r = &mut runs[node];
+        let joined = if flags[node] & DEAD != 0 {
             dropped += 1;
             false
         } else if s.dest == here {
-            landed.push(((local as u32) << 2 | rank as u32, s.pkt));
+            landed.push((idx << 2 | rank as u32, s.pkt));
             false
         } else {
-            match ctx.decide(here, flags[local] & CLEAR != 0, arena, s) {
+            match ctx.decide(here, flags[node] & CLEAR != 0, arena, s) {
                 Some((dir, detour)) => {
                     if r.total() == 0 {
-                        occupied.push(local as u32);
+                        occupied.push(idx);
                     }
                     insert(pool, r, arena, here, dir.index(), s.decided(dir, detour));
                     true
@@ -710,19 +664,19 @@ fn apply_lane(ctx: &StepCtx<'_>, arena: &PacketArena, lane: &mut Lane) -> (usize
             }
         };
         if !joined {
-            arrived[local] += 1 << 4;
+            arrived[node] += 1 << 4;
         }
         // Arrivals only ever add to a node during apply, so its last
         // arrival sees its full survivors + arrivals count.
-        most = most.max(r.total() + (arrived[local] >> 4) as u32);
+        most = most.max(r.total() + (arrived[node] >> 4) as u32);
     }
     if !landed.is_empty() {
         // Replay the swap-removal over each node's arrivals in rank
         // order; arrivals that did not land only fill their positions.
         landed.sort_unstable_by_key(|&(key, _)| key);
         for group in landed.chunk_by(|a, b| a.0 >> 2 == b.0 >> 2) {
-            let local = group[0].0 >> 2;
-            let links = arrived[local as usize] & 15;
+            let node = group[0].0 >> 2;
+            let links = arrived[node as usize] & 15;
             let mut ranks = [0u32; 4];
             let mut len = 0;
             for rank in (0..4).filter(|rank| links >> rank & 1 != 0) {
@@ -732,7 +686,7 @@ fn apply_lane(ctx: &StepCtx<'_>, arena: &PacketArena, lane: &mut Lane) -> (usize
             swap_remove_where(&mut ranks[..len], |rank| {
                 let at = group.iter().find(|&&(key, _)| key & 3 == rank);
                 if let Some(&(_, pkt)) = at {
-                    delivered.push((*node0 + local, pkt));
+                    delivered.push((node, pkt));
                 }
                 at.is_some()
             });
@@ -740,7 +694,7 @@ fn apply_lane(ctx: &StepCtx<'_>, arena: &PacketArena, lane: &mut Lane) -> (usize
         landed.clear();
     }
     for &(here, _) in staging.iter() {
-        arrived[(ctx.shape.index(here) - *node0) as usize] = 0;
+        arrived[ctx.shape.index(here) as usize] = 0;
     }
     if pool.len() > *compact_at {
         compact(pool, runs, occupied);
@@ -758,27 +712,14 @@ pub struct Engine {
     /// Struct-of-arrays store of every injected packet.
     arena: PacketArena,
     /// Packets injected since the last run: `(node, slot)` in injection
-    /// order, laid into the band lanes at the next run start.
+    /// order, laid into the lane at the next run start.
     pending: Vec<(u32, Slot)>,
-    /// Per-band queue storage and step scratch.
-    lanes: Vec<Lane>,
-    /// Band count the lanes/handoff are currently laid out for.
-    bands: usize,
+    /// Queue storage and step scratch.
+    lane: Lane,
     /// Layout scratch: per-node packet counts, then pool offsets.
     counts: Vec<u32>,
     /// Layout scratch: what a previous run left in flight, regathered.
     gather: Vec<(u32, Slot)>,
-    /// First node index of each band (`bands + 1` entries).
-    node_starts: Vec<u32>,
-    /// Band owning each mesh row.
-    row_band: Vec<usize>,
-    /// Persistent handoff ring: slot `src * bands + dst` carries the
-    /// moves leaving band `src` for band `dst` this step, in source-node
-    /// order. Locks are uncontended: `src` fills during compute, `dst`
-    /// drains after the worker barrier.
-    handoff: Vec<Mutex<Vec<(Coord, Slot)>>>,
-    /// Per-band step results for the coordinator fold.
-    step_out: Vec<Mutex<StepOut>>,
     /// Delivered packets as `(destination node, arena index)`.
     delivered: Vec<(u32, u32)>,
     in_flight: u64,
@@ -787,54 +728,39 @@ pub struct Engine {
     trace: Option<LinkTrace>,
     /// Broken nodes and links for this run, if any.
     faults: Option<FaultMask>,
-    /// Worker threads the step loop shards its rows across (1 =
-    /// sequential). Never changes the results, only the wall clock.
-    threads: usize,
 }
 
 impl Engine {
-    /// An empty, sequential (1 worker thread) engine on the given mesh;
-    /// see [`Engine::with_threads`].
+    /// An empty engine on the given mesh.
     pub fn new(shape: MeshShape) -> Self {
         Engine {
             shape,
             arena: PacketArena::new(),
             pending: Vec::new(),
-            lanes: Vec::new(),
-            bands: 0,
+            lane: Lane::default(),
             counts: Vec::new(),
             gather: Vec::new(),
-            node_starts: Vec::new(),
-            row_band: Vec::new(),
-            handoff: Vec::new(),
-            step_out: Vec::new(),
             delivered: Vec::new(),
             in_flight: 0,
             stats: EngineStats::default(),
             trace: None,
             faults: None,
-            threads: 1,
         }
     }
 
     /// Returns the engine to its post-[`Engine::new`] state while keeping
-    /// every allocation (arena columns, lane buffers, handoff ring), so a
-    /// pooled engine can be reused across protocol stages without paying
-    /// the buffer build again. Threads keep their configured value;
-    /// trace, faults, stats, queues and delivered packets are cleared.
+    /// every allocation (arena columns, lane buffers), so a pooled engine
+    /// can be reused across protocol stages without paying the buffer
+    /// build again. Trace, faults, stats, queues and delivered packets
+    /// are cleared.
     pub fn reset(&mut self) {
         self.arena.clear();
         self.pending.clear();
         self.gather.clear();
-        for lane in &mut self.lanes {
-            lane.occupied.clear();
-            lane.stuck.clear();
-            lane.staging.clear();
-            lane.delivered.clear();
-            for o in &mut lane.out {
-                o.clear();
-            }
-        }
+        self.lane.occupied.clear();
+        self.lane.stuck.clear();
+        self.lane.out.clear();
+        self.lane.staging.clear();
         self.delivered.clear();
         self.in_flight = 0;
         self.stats = EngineStats::default();
@@ -845,26 +771,6 @@ impl Engine {
     pub fn with_trace(mut self) -> Self {
         self.trace = Some(LinkTrace::new(self.shape));
         self
-    }
-
-    /// Sets the number of worker threads the synchronous step loop
-    /// shards its rows across (clamped to at least 1, and to the row
-    /// count at run time). Results are byte-identical for every value —
-    /// only wall-clock time changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// In-place form of [`Engine::with_threads`] for pooled engines.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker-thread count.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Installs a fault mask for this run. Must be called before any
@@ -950,26 +856,20 @@ impl Engine {
 
     /// Runs until every packet is delivered or the budget is exhausted.
     /// Returns the stats accumulated by this run (also kept in
-    /// [`Engine::stats`]). With more than one configured thread the rows
-    /// are sharded across worker threads that live for this run only;
-    /// the outcome is byte-identical either way.
+    /// [`Engine::stats`]).
     pub fn run(&mut self, max_steps: u64) -> Result<EngineStats, EngineError> {
-        let bands = self.threads.max(1).min(self.shape.rows as usize).max(1);
         // Also delivers packets already at their destination.
-        self.layout(bands);
-        if bands <= 1 || self.in_flight == 0 {
-            while self.in_flight > 0 {
-                if self.stats.steps >= max_steps {
-                    return Err(EngineError::StepBudgetExceeded {
-                        max_steps,
-                        in_flight: self.in_flight,
-                    });
-                }
-                self.step();
+        self.layout();
+        while self.in_flight > 0 {
+            if self.stats.steps >= max_steps {
+                return Err(EngineError::StepBudgetExceeded {
+                    max_steps,
+                    in_flight: self.in_flight,
+                });
             }
-            return Ok(self.stats);
+            self.step();
         }
-        self.run_parallel(max_steps, bands)
+        Ok(self.stats)
     }
 
     /// Stats accumulated so far.
@@ -991,131 +891,116 @@ impl Engine {
             .map(move |(node, pkt)| (node, arena.packet(PacketRef(pkt))))
     }
 
-    /// Lays the resident and pending packets out into `bands` lanes at
-    /// run start. Whatever a previous run left in flight is regathered;
+    /// Lays the resident and pending packets out into the lane at run
+    /// start. Whatever a previous run left in flight is regathered;
     /// every packet is grouped by node — residents first, then pending
     /// packets in injection order — and each node's group is absorbed by
     /// swap-removal (only pending packets can be at their destination),
     /// so deliveries come out in node order. Every other packet's hop is
     /// decided, and the node's runs are built by one sort of its group.
-    /// All scratch is persistent; with an unchanged band count a warm
-    /// layout allocates nothing.
-    fn layout(&mut self, bands: usize) {
+    /// All scratch is persistent; a warm layout allocates nothing.
+    fn layout(&mut self) {
+        let Engine {
+            shape,
+            arena,
+            pending,
+            lane,
+            counts,
+            gather,
+            delivered,
+            in_flight,
+            stats,
+            faults,
+            ..
+        } = self;
         // Regather residents. Their order is not observable: none is at
         // its destination, and arbitration orders each run by itself.
-        self.gather.clear();
-        for lane in &self.lanes {
-            for &local in &lane.occupied {
-                let r = lane.runs[local as usize];
-                let node = lane.node0 + local;
-                for d in 0..4 {
-                    let from = r.start[d] as usize;
-                    let run = &lane.pool[from..from + r.len[d] as usize];
-                    self.gather.extend(run.iter().map(|&s| (node, s)));
-                }
-            }
-            self.gather.extend_from_slice(&lane.stuck);
-        }
-        // Contiguous near-equal row bands: band b owns rows
-        // [b·rows/B, (b+1)·rows/B), hence a contiguous node range.
-        let nodes = self.shape.nodes() as usize;
-        let rows = self.shape.rows as usize;
-        let cols = self.shape.cols;
-        let row_start = |b: usize| b * rows / bands;
-        self.node_starts.clear();
-        self.node_starts
-            .extend((0..=bands).map(|b| row_start(b) as u32 * cols));
-        self.row_band.resize(rows, 0);
-        for b in 0..bands {
-            self.row_band[row_start(b)..row_start(b + 1)].fill(b);
-        }
-        if self.lanes.len() != bands {
-            self.lanes.resize_with(bands, Lane::default);
-        }
-        // Group every packet by node, straight into its band's pool:
-        // residents first, then pending packets in injection order. After
-        // the scatter, node `i` holds `pool[counts[i - 1] .. counts[i]]`
-        // of its band (from 0 for the band's first node).
-        self.counts.clear();
-        self.counts.resize(nodes, 0);
-        for &(node, _) in self.gather.iter().chain(&self.pending) {
-            self.counts[node as usize] += 1;
-        }
-        for b in 0..bands {
-            let lane = &mut self.lanes[b];
-            let node0 = self.node_starts[b];
-            let n = (self.node_starts[b + 1] - node0) as usize;
-            let mut off = 0;
-            for count in &mut self.counts[node0 as usize..node0 as usize + n] {
-                (*count, off) = (off, off + *count);
-            }
-            lane.node0 = node0;
-            lane.pool.clear();
-            lane.pool.resize(off as usize, DUMMY_SLOT);
-            lane.compact_at = POOL_GROWTH * (off as usize).max(n);
-            lane.runs.clear();
-            lane.runs.resize(n, Runs::default());
-            lane.arrived.clear();
-            lane.arrived.resize(n, 0);
-            lane.flags.clear();
-            match self.faults.as_ref().filter(|m| !m.is_empty()) {
-                None => lane.flags.resize(n, CLEAR),
-                Some(m) => lane.flags.extend(
-                    (node0..node0 + n as u32)
-                        .map(|i| (m.node_dead(i) as u8 * DEAD) | (m.node_clear(i) as u8 * CLEAR)),
-                ),
-            }
-            lane.occupied.clear();
-            lane.stuck.clear();
-            lane.staging.clear();
-            lane.delivered.clear();
-            if lane.out.len() != bands {
-                lane.out.resize_with(bands, Vec::new);
-                lane.out.truncate(bands);
+        gather.clear();
+        for &node in &lane.occupied {
+            let r = lane.runs[node as usize];
+            for d in 0..4 {
+                let from = r.start[d] as usize;
+                let run = &lane.pool[from..from + r.len[d] as usize];
+                gather.extend(run.iter().map(|&s| (node, s)));
             }
         }
-        for &(node, s) in self.gather.iter().chain(&self.pending) {
-            let at = &mut self.counts[node as usize];
-            self.lanes[self.row_band[(node / cols) as usize]].pool[*at as usize] = s;
+        gather.extend_from_slice(&lane.stuck);
+        // Group every packet by node, straight into the pool: residents
+        // first, then pending packets in injection order. After the
+        // scatter, node `i` holds `pool[counts[i - 1] .. counts[i]]` (from
+        // 0 for node 0).
+        let nodes = shape.nodes() as usize;
+        counts.clear();
+        counts.resize(nodes, 0);
+        for &(node, _) in gather.iter().chain(pending.iter()) {
+            counts[node as usize] += 1;
+        }
+        let mut off = 0;
+        for count in counts.iter_mut() {
+            (*count, off) = (off, off + *count);
+        }
+        let Lane {
+            pool,
+            runs,
+            compact_at,
+            flags,
+            occupied,
+            stuck,
+            out,
+            staging,
+            arrived,
+            ..
+        } = lane;
+        pool.clear();
+        pool.resize(off as usize, DUMMY_SLOT);
+        *compact_at = POOL_GROWTH * (off as usize).max(nodes);
+        runs.clear();
+        runs.resize(nodes, Runs::default());
+        arrived.clear();
+        arrived.resize(nodes, 0);
+        flags.clear();
+        match faults.as_ref().filter(|m| !m.is_empty()) {
+            None => flags.resize(nodes, CLEAR),
+            Some(m) => flags.extend(
+                (0..nodes as u32)
+                    .map(|i| (m.node_dead(i) as u8 * DEAD) | (m.node_clear(i) as u8 * CLEAR)),
+            ),
+        }
+        occupied.clear();
+        stuck.clear();
+        out.clear();
+        staging.clear();
+        for &(node, s) in gather.iter().chain(pending.iter()) {
+            let at = &mut counts[node as usize];
+            pool[*at as usize] = s;
             *at += 1;
         }
-        self.gather.clear();
-        self.pending.clear();
+        gather.clear();
+        pending.clear();
         // Per node: absorb, decide every other packet's hop, and sort the
         // group into its four runs in place. A run's capacity is its
         // length, so its first arrival moves the block (see `grow_run`).
         let ctx = StepCtx {
-            shape: self.shape,
-            faults: self.faults.as_ref(),
-            step: self.stats.steps,
+            shape: *shape,
+            faults: faults.as_ref(),
+            step: stats.steps,
         };
-        let arena = &self.arena;
-        let delivered_before = self.delivered.len();
+        let arena = &*arena;
+        let delivered_before = delivered.len();
         let mut dropped = 0u64;
         for node in 0..nodes as u32 {
-            let Lane {
-                node0,
-                pool,
-                runs,
-                flags,
-                occupied,
-                stuck,
-                ..
-            } = &mut self.lanes[self.row_band[(node / cols) as usize]];
-            let local = (node - *node0) as usize;
-            let from = if local == 0 {
+            let from = if node == 0 {
                 0
             } else {
-                self.counts[node as usize - 1]
+                counts[node as usize - 1]
             };
-            let to = self.counts[node as usize];
-            let group = &mut pool[from as usize..to as usize];
+            let group = &mut pool[from as usize..counts[node as usize] as usize];
             if group.is_empty() {
                 continue;
             }
-            let here = self.shape.coord(node);
-            let delivered = &mut self.delivered;
-            let n = if flags[local] & DEAD != 0 {
+            let here = shape.coord(node);
+            let flag = flags[node as usize];
+            let n = if flag & DEAD != 0 {
                 dropped += group.len() as u64;
                 0
             } else {
@@ -1127,7 +1012,7 @@ impl Engine {
                     at
                 })
             };
-            let clear = flags[local] & CLEAR != 0;
+            let clear = flag & CLEAR != 0;
             let mut kept = 0;
             for i in 0..n {
                 let s = group[i];
@@ -1150,7 +1035,7 @@ impl Engine {
                     id(b).cmp(&id(a))
                 })
             });
-            let r = &mut runs[local];
+            let r = &mut runs[node as usize];
             r.start = [from; 5];
             for s in group.iter() {
                 r.len[s.hop()] += 1;
@@ -1158,175 +1043,42 @@ impl Engine {
             for d in 0..4 {
                 r.start[d + 1] = r.start[d] + r.len[d];
             }
-            occupied.push(local as u32);
+            occupied.push(node);
         }
-        let delivered = (self.delivered.len() - delivered_before) as u64;
-        self.stats.delivered += delivered;
-        self.stats.dropped += dropped;
-        self.in_flight -= delivered + dropped;
-        if self.bands != bands {
-            self.handoff = (0..bands * bands).map(|_| Mutex::new(Vec::new())).collect();
-            self.step_out = (0..bands).map(|_| Mutex::new(StepOut::default())).collect();
-            self.bands = bands;
-        }
+        let delivered = (delivered.len() - delivered_before) as u64;
+        stats.delivered += delivered;
+        stats.dropped += dropped;
+        *in_flight -= delivered + dropped;
     }
 
-    /// One sequential synchronous step: the one-band instance of the
-    /// sharded step (same compute/apply code as the workers).
+    /// One synchronous step: compute, hand the moves over, apply.
     fn step(&mut self) {
         let ctx = StepCtx {
             shape: self.shape,
             faults: self.faults.as_ref(),
             step: self.stats.steps,
         };
-        let lane = &mut self.lanes[0];
+        let lane = &mut self.lane;
         let (hops, moved_drops) = compute_lane(
             &ctx,
             &self.arena,
             lane,
             self.trace.as_mut().map(LinkTrace::counts_mut),
-            |_| 0,
         );
-        // Single band: the out-buffer is the staging buffer (capacity
-        // ping-pongs between the two roles instead of being reallocated).
-        std::mem::swap(&mut lane.staging, &mut lane.out[0]);
-        lane.out[0].clear();
-        let (max_queue, dead_drops) = apply_lane(&ctx, &self.arena, lane);
+        // The move buffer becomes the staging buffer (capacity ping-pongs
+        // between the two roles instead of being reallocated).
+        std::mem::swap(&mut lane.staging, &mut lane.out);
+        lane.out.clear();
+        let delivered_before = self.delivered.len();
+        let (max_queue, dead_drops) = apply_lane(&ctx, &self.arena, lane, &mut self.delivered);
         let dropped = moved_drops + dead_drops;
-        let delivered = lane.delivered.len() as u64;
+        let delivered = (self.delivered.len() - delivered_before) as u64;
         self.stats.steps += 1;
         self.stats.total_hops += hops;
         self.stats.max_queue = self.stats.max_queue.max(max_queue);
         self.stats.dropped += dropped;
         self.stats.delivered += delivered;
         self.in_flight -= dropped + delivered;
-        self.delivered.append(&mut lane.delivered);
-    }
-
-    /// The sharded step loop: one scoped worker thread per band, spawned
-    /// for this run and joined before it returns, exchanging moves
-    /// through the engine-persistent handoff ring (module docs explain
-    /// why the result is byte-identical to [`Engine::step`]). Each worker
-    /// owns its lane and its slice of the trace; the coordinator frames
-    /// the steps on the calling thread. No warm buffer is reallocated
-    /// here — every queue swap reuses capacity.
-    fn run_parallel(&mut self, max_steps: u64, bands: usize) -> Result<EngineStats, EngineError> {
-        // Split the borrows field by field so the workers can own their
-        // lanes while the coordinator keeps the counters.
-        let Engine {
-            shape,
-            arena,
-            lanes,
-            node_starts,
-            row_band,
-            handoff,
-            step_out,
-            delivered: delivered_all,
-            in_flight,
-            stats,
-            trace,
-            faults,
-            ..
-        } = self;
-        let (shape, faults) = (*shape, faults.as_ref());
-        let (arena, row_band, handoff, step_out) = (&*arena, &*row_band, &*handoff, &*step_out);
-
-        // `barrier_all` frames a step (coordinator + workers); the
-        // workers-only barrier separates the compute and apply
-        // half-steps so no handoff slot is drained before it is full.
-        let barrier_all = &Barrier::new(bands + 1);
-        let barrier_workers = &Barrier::new(bands);
-        let stop = &AtomicBool::new(false);
-        let start_step = stats.steps;
-
-        let worker = |b: usize, lane: &mut Lane, mut trace: Option<&mut [[u64; 4]]>| {
-            let band_of = |at: Coord| row_band[at.r as usize];
-            let mut step = start_step;
-            loop {
-                barrier_all.wait();
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let ctx = StepCtx {
-                    shape,
-                    faults,
-                    step,
-                };
-                let (hops, moved_drops) =
-                    compute_lane(&ctx, arena, lane, trace.as_deref_mut(), band_of);
-                // Publish this band's outgoing moves: swap each per-dst
-                // buffer into its handoff ring slot (the slot holds the
-                // vector this band's buffer was drained into last step,
-                // so capacity circulates instead of being reallocated).
-                for (dst, out) in lane.out.iter_mut().enumerate() {
-                    std::mem::swap(&mut *handoff[b * bands + dst].lock().unwrap(), out);
-                }
-                barrier_workers.wait();
-                // Drain incoming moves in fixed source-band order:
-                // concatenated, they reproduce the sequential
-                // engine's ascending global node scan.
-                lane.staging.clear();
-                for src in 0..bands {
-                    let mut slot = handoff[src * bands + b].lock().unwrap();
-                    lane.staging.extend_from_slice(&slot);
-                    slot.clear();
-                }
-                let (max_queue, dead_drops) = apply_lane(&ctx, arena, lane);
-                {
-                    let mut out = step_out[b].lock().unwrap();
-                    out.hops = hops;
-                    out.dropped = moved_drops + dead_drops;
-                    out.max_queue = max_queue;
-                    std::mem::swap(&mut out.delivered, &mut lane.delivered);
-                }
-                step += 1;
-                barrier_all.wait();
-            }
-        };
-        let worker = &worker;
-
-        std::thread::scope(|s| {
-            let mut trace_rest = trace.as_mut().map(LinkTrace::counts_mut);
-            for (b, lane) in lanes.iter_mut().enumerate() {
-                let band_trace = trace_rest.take().map(|t| {
-                    let (head, tail) =
-                        t.split_at_mut((node_starts[b + 1] - node_starts[b]) as usize);
-                    trace_rest = Some(tail);
-                    head
-                });
-                s.spawn(move || worker(b, lane, band_trace));
-            }
-            // Coordinator: frame the steps and fold the per-band deltas
-            // in band order (= node order) after each one. The scope
-            // joins every band worker once it has left the loop.
-            loop {
-                if *in_flight == 0 {
-                    stop.store(true, Ordering::Release);
-                    barrier_all.wait();
-                    return Ok(*stats);
-                }
-                if stats.steps >= max_steps {
-                    stop.store(true, Ordering::Release);
-                    barrier_all.wait();
-                    return Err(EngineError::StepBudgetExceeded {
-                        max_steps,
-                        in_flight: *in_flight,
-                    });
-                }
-                barrier_all.wait(); // release the workers into the step
-                barrier_all.wait(); // wait for every band to finish
-                stats.steps += 1;
-                for slot in step_out.iter() {
-                    let mut out = slot.lock().unwrap();
-                    stats.total_hops += out.hops;
-                    stats.dropped += out.dropped;
-                    stats.delivered += out.delivered.len() as u64;
-                    stats.max_queue = stats.max_queue.max(out.max_queue);
-                    *in_flight -= out.dropped + out.delivered.len() as u64;
-                    delivered_all.append(&mut out.delivered);
-                }
-            }
-        })
     }
 }
 
@@ -1461,30 +1213,31 @@ mod tests {
         assert!(matches!(err, EngineError::StepBudgetExceeded { .. }));
     }
 
-    /// A budget-exceeded run leaves packets in flight; a follow-up run —
-    /// possibly at a different thread count, which relays the packets
-    /// out — must finish the job with cumulative stats. Exercises the
-    /// resident-regather path of `layout`.
+    /// A budget-exceeded run leaves packets in flight; a follow-up run
+    /// must finish the job with cumulative stats, exactly as one
+    /// uninterrupted run would. Exercises the resident-regather path of
+    /// `layout`.
     #[test]
-    fn interrupted_run_resumes_across_thread_counts() {
+    fn interrupted_run_resumes() {
         let shape = MeshShape::square(8);
-        let finish = |threads_after: usize| {
+        let fresh = || {
             let mut e = Engine::new(shape);
             let b = full_bounds(shape);
             for i in 0..16u64 {
                 e.inject(shape.coord(i as u32), mk(i, Coord::new(7, 7), b));
             }
-            assert!(e.run(2).is_err());
-            assert!(e.in_flight() > 0);
-            e.set_threads(threads_after);
-            let stats = e.run(10_000).unwrap();
-            (stats, e.drain_delivered().collect::<Vec<_>>())
+            e
         };
-        let seq = finish(1);
-        assert_eq!(seq.0.delivered, 16);
-        for threads in [2, 5] {
-            assert_eq!(seq, finish(threads), "threads = {threads}");
-        }
+        let mut whole = fresh();
+        let stats = whole.run(10_000).unwrap();
+        let uninterrupted = (stats, whole.drain_delivered().collect::<Vec<_>>());
+        let mut e = fresh();
+        assert!(e.run(2).is_err());
+        assert!(e.in_flight() > 0);
+        let stats = e.run(10_000).unwrap();
+        let resumed = (stats, e.drain_delivered().collect::<Vec<_>>());
+        assert_eq!(resumed.0.delivered, 16);
+        assert_eq!(uninterrupted, resumed);
     }
 
     #[test]
@@ -1760,70 +1513,6 @@ mod tests {
             e.run(10_000).unwrap()
         };
         assert_eq!(run(), run());
-    }
-
-    /// Full-observable equivalence of the sharded and sequential loops
-    /// on a contended instance with faults; the randomized version lives
-    /// in `tests/engine_oracle.rs`.
-    #[test]
-    fn sharded_run_matches_sequential() {
-        let shape = MeshShape::square(16);
-        let run = |threads: usize| {
-            let mut mask = FaultMask::new(shape).with_salt(3);
-            mask.kill_node(Coord::new(5, 5));
-            mask.sever_link(Coord::new(9, 9), Dir::East);
-            mask.degrade_link(Coord::new(0, 3), Dir::East, 300);
-            let mut e = Engine::new(shape)
-                .with_threads(threads)
-                .with_trace()
-                .with_faults(mask);
-            let b = full_bounds(shape);
-            let mut id = 0u64;
-            for r in 0..16 {
-                for c in 0..16 {
-                    e.inject(Coord::new(r, c), mk(id, Coord::new(c, r), b));
-                    // A second wave converging on one corner.
-                    e.inject(Coord::new(r, c), mk(id + 256, Coord::new(0, 0), b));
-                    id += 1;
-                }
-            }
-            let stats = e.run(10_000).unwrap();
-            let trace = e.trace().cloned().unwrap();
-            (stats, e.drain_delivered().collect::<Vec<_>>(), trace)
-        };
-        let seq = run(1);
-        for threads in [2, 3, 5, 16] {
-            assert_eq!(seq, run(threads), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn thread_count_is_clamped_and_reported() {
-        let e = Engine::new(MeshShape::square(4)).with_threads(0);
-        assert_eq!(e.threads(), 1);
-        assert_eq!(
-            Engine::new(MeshShape::square(4)).with_threads(7).threads(),
-            7
-        );
-    }
-
-    /// More workers than rows: the band count clamps to the row count
-    /// and the run still matches the sequential outcome.
-    #[test]
-    fn more_threads_than_rows_is_fine() {
-        let shape = MeshShape { rows: 3, cols: 9 };
-        let run = |threads: usize| {
-            let mut e = Engine::new(shape).with_threads(threads);
-            let b = full_bounds(shape);
-            for i in 0..27u64 {
-                let src = shape.coord(i as u32);
-                let dst = shape.coord(26 - i as u32);
-                e.inject(src, mk(i, dst, b));
-            }
-            let stats = e.run(10_000).unwrap();
-            (stats, e.drain_delivered().collect::<Vec<_>>())
-        };
-        assert_eq!(run(1), run(64));
     }
 
     /// `drain_delivered` yields every packet at its destination and

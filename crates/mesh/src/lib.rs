@@ -20,11 +20,11 @@
 //!   consulted by the engine to divert or drop packets deterministically,
 //!   stored as dense bitsets.
 //! - [`pool`]: shape-keyed engine reuse, owned by an execution context
-//!   rather than rebuilt per step. The sharded engine's band workers are
-//!   not pooled: they are scoped threads that live for one run.
+//!   rather than rebuilt per step.
 //!
-//! The engine is pinned at every thread count to a sequential textbook
-//! oracle, one `Vec` queue per node, in `tests/engine_oracle.rs`.
+//! The engine runs on the calling thread, as the synchronous machine it
+//! models steps: every observable is pinned to a textbook oracle, one
+//! `Vec` queue per node, in `tests/engine_oracle.rs`.
 //!
 //! # Example
 //!

@@ -5,8 +5,7 @@
 //! `k+1` protocol stages, CULLING, the baselines and columnsort's
 //! permutation measurements instead of being reallocated per step. An
 //! execution context (`prasim-exec`) owns one; there is no process-wide
-//! pool. Worker threads are not pooled: a sharded engine spawns its band
-//! workers for one run and joins them before the run returns.
+//! pool.
 
 use crate::engine::Engine;
 use crate::topology::MeshShape;
@@ -20,30 +19,19 @@ pub struct EnginePool {
     free: HashMap<MeshShape, Vec<Engine>>,
     created: u64,
     reused: u64,
-    /// Worker-thread count installed on every checked-out engine; `None`
-    /// leaves engines at their [`Engine::new`] default.
-    threads: Option<usize>,
 }
 
 impl EnginePool {
-    /// An empty pool handing out engines with their default threads.
+    /// An empty pool.
     pub fn new() -> Self {
         EnginePool::default()
     }
 
-    /// Makes every later checkout run on `threads` workers (an execution
-    /// context's configuration). Pooled engines are kept; the thread
-    /// count is installed at checkout.
-    pub fn configure(&mut self, threads: usize) {
-        self.threads = Some(threads);
-    }
-
     /// A reset engine on `shape`: recycled if one is available, freshly
-    /// built otherwise, with the pool's thread configuration installed.
-    /// The caller configures faults/trace per use (the reset clears
-    /// both).
+    /// built otherwise. The caller configures faults/trace per use (the
+    /// reset clears both).
     pub fn checkout(&mut self, shape: MeshShape) -> Engine {
-        let mut engine = match self.free.get_mut(&shape).and_then(Vec::pop) {
+        match self.free.get_mut(&shape).and_then(Vec::pop) {
             Some(mut engine) => {
                 self.reused += 1;
                 engine.reset();
@@ -53,11 +41,7 @@ impl EnginePool {
                 self.created += 1;
                 Engine::new(shape)
             }
-        };
-        if let Some(threads) = self.threads {
-            engine.set_threads(threads);
         }
-        engine
     }
 
     /// Returns an engine to the pool for later reuse.

@@ -31,8 +31,8 @@ impl LinkTrace {
         self.counts[self.shape.index(from) as usize][dir.index()] += 1;
     }
 
-    /// Mutable per-source-node counts, row-major; the engine's banded
-    /// step loop slices this so each worker records its own rows.
+    /// Mutable per-source-node counts, row-major; the engine's compute
+    /// half-step records its hops straight into them.
     #[inline]
     pub(crate) fn counts_mut(&mut self) -> &mut [[u64; 4]] {
         &mut self.counts

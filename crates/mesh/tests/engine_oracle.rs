@@ -187,8 +187,8 @@ fn shuffled_ids(len: usize, mut seed: u64) -> Vec<u64> {
 }
 
 /// Routes `packets` in two batches (the first under `budget`, leaving
-/// packets in flight for the resumed run) through the engine at 1, 2, 3
-/// and 7 threads and through the oracle, comparing every observable.
+/// packets in flight for the resumed run) through the engine and through
+/// the oracle, comparing every observable.
 fn check(
     shape: MeshShape,
     mask: Option<FaultMask>,
@@ -197,29 +197,25 @@ fn check(
     split: usize,
 ) -> Result<EngineStats, TestCaseError> {
     let (first, second) = packets.split_at(split.min(packets.len()));
-    let mut stats = EngineStats::default();
-    for threads in [1, 2, 3, 7] {
-        let mut engine = Engine::new(shape).with_threads(threads).with_trace();
-        if let Some(m) = &mask {
-            engine = engine.with_faults(m.clone());
-        }
-        let mut o = Oracle::new(shape, mask.clone().unwrap_or_else(|| FaultMask::new(shape)));
-        for (batch, budget) in [(first, budget), (second, 100_000)] {
-            for p in batch {
-                engine.inject(shape.coord(p.tag as u32), *p);
-                o.inject(shape.coord(p.tag as u32), *p);
-            }
-            let got = (engine.run(budget), engine.stats(), engine.in_flight());
-            let seen = o.delivered.len();
-            let want = (o.run(budget), o.stats, o.in_flight());
-            prop_assert_eq!(got, want, "{} threads", threads);
-            prop_assert_eq!(engine.trace(), Some(&o.trace), "{} threads", threads);
-            let delivered: Vec<_> = engine.drain_delivered().collect();
-            prop_assert_eq!(&delivered[..], &o.delivered[seen..], "{} threads", threads);
-        }
-        stats = engine.stats();
+    let mut engine = Engine::new(shape).with_trace();
+    if let Some(m) = &mask {
+        engine = engine.with_faults(m.clone());
     }
-    Ok(stats)
+    let mut o = Oracle::new(shape, mask.clone().unwrap_or_else(|| FaultMask::new(shape)));
+    for (batch, budget) in [(first, budget), (second, 100_000)] {
+        for p in batch {
+            engine.inject(shape.coord(p.tag as u32), *p);
+            o.inject(shape.coord(p.tag as u32), *p);
+        }
+        let got = (engine.run(budget), engine.stats(), engine.in_flight());
+        let seen = o.delivered.len();
+        let want = (o.run(budget), o.stats, o.in_flight());
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(engine.trace(), Some(&o.trace));
+        let delivered: Vec<_> = engine.drain_delivered().collect();
+        prop_assert_eq!(&delivered[..], &o.delivered[seen..]);
+    }
+    Ok(engine.stats())
 }
 
 /// A `(source, destination, box corner, kind)` pick for [`packet`].
@@ -228,7 +224,7 @@ type Pick = (u32, u32, u32, u8);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// 1–10 rows (7 workers clamp to the row count), with and without faults,
+    /// 1–10 rows and columns, with and without faults,
     /// ids shuffled against injection order; a tight first budget leaves
     /// packets for a second batch and a resumed run.
     #[test]

@@ -17,7 +17,7 @@ use prasim_sortnet::snake::{snake_coord, snake_pos};
 /// Routes an `(l1, l2)` instance by sorting by destination and then
 /// greedy-routing from the balanced post-sort positions. The sort runs
 /// with the context's sorter and resources, and the route engine comes
-/// from the context's pool with the context's thread count.
+/// from the context's pool.
 pub fn route_flat(
     inst: &RoutingInstance,
     max_steps: u64,

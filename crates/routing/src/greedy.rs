@@ -8,8 +8,7 @@ use prasim_mesh::region::Rect;
 /// Routes every packet straight from its source to its destination with
 /// greedy XY paths and farthest-first contention resolution. No sorting,
 /// no spreading — the naive strategy whose worst cases motivate
-/// Theorem 2's algorithm. The engine comes from the context's pool with
-/// the context's thread count.
+/// Theorem 2's algorithm. The engine comes from the context's pool.
 pub fn route_greedy(
     inst: &RoutingInstance,
     max_steps: u64,

@@ -54,8 +54,7 @@ impl From<EngineError> for HierError {
 
 /// Runs the 4-step `(l1, l2, δ, m)`-routing with the mesh divided into
 /// `parts` submeshes. Sorts use the context's sorter and resources, and
-/// both route engines come from the context's pool with the context's
-/// thread count.
+/// both route engines come from the context's pool.
 pub fn route_hierarchical(
     inst: &RoutingInstance,
     parts: u64,

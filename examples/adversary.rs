@@ -17,9 +17,9 @@ fn main() {
     let num_vars = sim.num_variables();
     // The single-copy scheme has no structural constraints, so give it
     // the large memory (n² variables) its worst case needs.
-    let mut single = SingleCopySim::new(n, n * n, 1, Sorter::default()).unwrap();
-    let mut mv = MehlhornVishkinSim::new(n, num_vars, 3, 1, Sorter::default()).unwrap();
-    let mut flat = FlatHmosSim::new(3, 2, n, 9000, 1, Sorter::default()).unwrap();
+    let mut single = SingleCopySim::new(n, n * n, Sorter::default()).unwrap();
+    let mut mv = MehlhornVishkinSim::new(n, num_vars, 3, Sorter::default()).unwrap();
+    let mut flat = FlatHmosSim::new(3, 2, n, 9000, Sorter::default()).unwrap();
 
     println!("n = {n}, memory = {num_vars} variables\n");
     println!(

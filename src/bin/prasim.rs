@@ -4,14 +4,14 @@
 //! prasim simulate  --n 1024 --memory 9000 [--q 3] [--k 2] [--steps 2]
 //!                  [--workload random|adversarial|strided] [--seed 42]
 //!                  [--slack 1.0] [--analytic]
-//!                  [--policy freshest|quorum] [--threads 1]
+//!                  [--policy freshest|quorum]
 //!                  [--sorter shearsort|columnsort]
 //!                  [--dead N] [--sever N] [--lossy N]
 //!                  [--corrupt N] [--freeze N]
 //!                  [--fault-seed S] [--fault-from T]
 //! prasim structure --n 1024 --d 5 [--q 3] [--k 2]
 //! prasim route     --n 1024 [--l1 1] [--seed 7] [--algo greedy|flat|hier]
-//!                  [--parts 16] [--threads 1] [--sorter shearsort|columnsort]
+//!                  [--parts 16] [--sorter shearsort|columnsort]
 //! prasim bibd      --q 3 --d 2 [--m 8] [--dot]
 //! prasim help | --help
 //! ```
@@ -22,13 +22,10 @@
 //! variable the run touches. `--fault-from` delays activation to the
 //! given PRAM step (steps are 1-based). `--policy quorum` reads through
 //! Definition 2's hierarchical majority instead of freshest-timestamp.
-//! `--threads N` (a positive integer) shards the mesh engines across N
-//! workers (default: 1, since extra bands have not paid on the hosts
-//! measured); the output is byte-identical for every N. `--sorter`
-//! selects the mesh sorting network used by every sort phase (default:
-//! the step-simulated columnsort; `shearsort` restores the previous
-//! merge-split shearsort). Both are parsed once and passed to the run's
-//! configuration; nothing is read from the environment.
+//! `--sorter` selects the mesh sorting network used by every sort phase
+//! (default: the step-simulated columnsort; `shearsort` restores the
+//! previous merge-split shearsort). It is parsed once and passed to the
+//! run's configuration; nothing is read from the environment.
 //!
 //! An unknown flag, a flag the command does not take, a value-taking
 //! flag given no value and a malformed value all exit with status 2.
@@ -128,14 +125,6 @@ impl Args {
         }
     }
 
-    /// `--threads` (default 1); must be positive.
-    fn threads(&self) -> usize {
-        match self.get_u64("threads", 1) {
-            0 => die("--threads expects a positive integer"),
-            t => t as usize,
-        }
-    }
-
     /// `--slack` (default 1.0); must be finite and positive.
     fn slack(&self) -> f64 {
         match self.get_f64("slack", 1.0) {
@@ -206,7 +195,6 @@ fn cmd_simulate(args: &Args) -> ExitCode {
         "slack",
         "analytic",
         "policy",
-        "threads",
         "sorter",
         "dead",
         "sever",
@@ -230,8 +218,7 @@ fn cmd_simulate(args: &Args) -> ExitCode {
         .with_culling_slack(args.slack())
         .with_analytic_sort(args.has("analytic"))
         .with_read_policy(policy)
-        .with_sorter(sorter)
-        .with_threads(args.threads());
+        .with_sorter(sorter);
     let mut sim = match PramMeshSim::new(config) {
         Ok(s) => s,
         Err(e) => die(&format!("{e}")),
@@ -424,13 +411,13 @@ fn cmd_structure(args: &Args) -> ExitCode {
 }
 
 fn cmd_route(args: &Args) -> ExitCode {
-    args.check(&["n", "l1", "seed", "algo", "parts", "threads", "sorter"]);
+    args.check(&["n", "l1", "seed", "algo", "parts", "sorter"]);
     let n = args.get_u64("n", 1024);
     let shape = match MeshShape::square_of(n) {
         Some(s) if n > 0 => s,
         _ => die("--n must be a positive perfect square"),
     };
-    let mut ctx = ExecCtx::new(args.threads(), args.sorter(), false);
+    let mut ctx = ExecCtx::new(1, args.sorter(), false);
     let l1 = args.get_u64("l1", 1);
     let seed = args.get_u64("seed", 7);
     let inst = RoutingInstance::random(shape, l1, seed);
@@ -528,9 +515,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_default_to_one() {
-        assert_eq!(args(&["simulate", "--n", "256"]).threads(), 1);
-        assert_eq!(args(&["route", "--threads", "3"]).threads(), 3);
+    fn sorter_defaults_to_columnsort() {
+        assert_eq!(
+            args(&["simulate", "--n", "256"]).sorter(),
+            Sorter::Columnsort
+        );
+        let a = args(&["route", "--sorter", "shearsort"]);
+        assert_eq!(a.sorter(), Sorter::Shearsort);
     }
 
     #[test]

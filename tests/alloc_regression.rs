@@ -3,10 +3,10 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and
 //! tallies every `alloc`/`realloc`/`alloc_zeroed` call in the process.
-//! After a warmup run has sized every buffer — arena columns, the
-//! per-band slot pools and run tables, occupied and stuck lists, handoff
-//! rings, staging, the delivered list — repeating the *same* workload
-//! must hit the allocator **zero** times at `threads = 1`: not per step,
+//! After a warmup run has sized every buffer — arena columns, the slot
+//! pool and run table, occupied and stuck lists, the move and staging
+//! buffers, the delivered list — repeating the *same* workload must hit
+//! the allocator **zero** times: not per step,
 //! not per run, not in `drain_delivered`, not when a fault mask with dead
 //! nodes, a severed link and a lossy link makes packets detour and drop,
 //! and not when a hot spot grows queues into the hundreds.
@@ -20,15 +20,8 @@
 //! number of allocations per requesting processor, and a warm quorum
 //! `PramMeshSim::step` to a count that does not grow with the mesh.
 //!
-//! Parallel runs are allowed a small *per-run* setup cost (each run
-//! spawns its scoped band threads), so the parallel test pins down the
-//! sharper invariant: the allocation count of a warm parallel run is
-//! independent of how many steps the run executes. If the step loop
-//! itself allocated, a workload with more steps would allocate more.
-//!
-//! The counter is process-wide on purpose, so allocations made on the
-//! engine's worker threads count too. The test harness runs tests on
-//! parallel threads, though, so each test holds [`SERIAL`] for its
+//! The counter is process-wide. The test harness runs tests on parallel
+//! threads, though, so each test holds [`SERIAL`] for its
 //! whole body: otherwise one test's measurement window would count the
 //! other test's allocations. The harness itself also allocates when a
 //! test finishes (its thread sends the result; the main thread records
@@ -155,7 +148,7 @@ fn sequential_steady_state_allocates_nothing() {
     let _alone = serialize();
     let shape = MeshShape::square(32);
     let w = workload(shape, 4, shape.nodes());
-    let mut engine = Engine::new(shape).with_threads(1);
+    let mut engine = Engine::new(shape);
 
     // Warmup: size every buffer. Two cycles, because the first grows
     // the arena and slot arrays and the second proves reset/inject/run
@@ -215,7 +208,7 @@ fn faulted_steady_state_allocates_nothing() {
     // Every cycle consumes a mask, so all four copies are built before
     // the counting window.
     let mut masks: Vec<FaultMask> = (0..4).map(|_| mask.clone()).collect();
-    let engine = Engine::new(shape).with_threads(1);
+    let engine = Engine::new(shape);
 
     let (engine, _, delivered) = faulted_cycle(engine, masks.pop().unwrap(), &w);
     assert!(delivered > 0 && delivered < w.len() as u64);
@@ -271,7 +264,7 @@ fn hotspot_steady_state_allocates_nothing() {
     let shape = MeshShape::square(32);
     let (w, mask) = hotspot_workload(shape);
     let mut masks: Vec<FaultMask> = (0..4).map(|_| mask.clone()).collect();
-    let engine = Engine::new(shape).with_threads(1);
+    let engine = Engine::new(shape);
 
     let (engine, stats, _) = faulted_cycle(engine, masks.pop().unwrap(), &w);
     assert!(
@@ -294,47 +287,6 @@ fn hotspot_steady_state_allocates_nothing() {
          must not allocate",
         stats_a.steps,
         stats_a.max_queue
-    );
-}
-
-#[test]
-fn parallel_run_allocations_are_step_count_independent() {
-    let _alone = serialize();
-    let shape = MeshShape::square(32);
-    // Same packet count, very different step counts: adjacent
-    // destinations versus mesh-wide ones.
-    let short = workload(shape, 4, 2);
-    let long = workload(shape, 4, shape.nodes());
-    let mut engine = Engine::new(shape).with_threads(2);
-
-    // Warm both workloads so every buffer has seen its maximum size.
-    for _ in 0..2 {
-        cycle(&mut engine, &short);
-        cycle(&mut engine, &long);
-    }
-
-    let measure = |engine: &mut Engine, w: &[(Coord, Packet)]| {
-        let before = allocations();
-        let (steps, _) = cycle(engine, w);
-        (allocations() - before, steps)
-    };
-
-    let (short_allocs, short_steps) = measure(&mut engine, &short);
-    let (long_allocs, long_steps) = measure(&mut engine, &long);
-    assert!(
-        long_steps >= short_steps + 30,
-        "workloads must differ in step count ({short_steps} vs {long_steps})"
-    );
-    // The per-run setup (spawning the band threads) may allocate a
-    // constant amount; the step loop may not allocate at all.
-    assert_eq!(
-        short_allocs, long_allocs,
-        "a {long_steps}-step warm run must allocate exactly as much as \
-         a {short_steps}-step one (per-run setup only)"
-    );
-    assert!(
-        long_allocs <= 16,
-        "per-run setup should be a handful of allocations, got {long_allocs}"
     );
 }
 
@@ -449,9 +401,7 @@ fn warm_quorum_read_allocates_at_most_once_per_reader() {
 fn warm_step_allocations_do_not_grow_with_n() {
     let _alone = serialize();
     let warm_step_allocations = |n: u64| {
-        let config = SimConfig::new(n, 40_000)
-            .with_threads(1)
-            .with_read_policy(ReadPolicy::HierarchicalMajority);
+        let config = SimConfig::new(n, 40_000).with_read_policy(ReadPolicy::HierarchicalMajority);
         let mut sim = PramMeshSim::new(config).unwrap();
         let vars = workload::random_distinct(n, sim.num_variables(), 5);
         let (write, read) = (workload::write_step(&vars, 11), workload::read_step(&vars));

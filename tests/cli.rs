@@ -1,6 +1,7 @@
 //! The `prasim` binary rejects what it does not understand: an unknown
-//! or removed flag, a value-taking flag given no value and a malformed
-//! value all exit with status 2 before any simulation runs.
+//! or removed flag (`--ctx`, `--threads`), a value-taking flag given no
+//! value and a malformed value all exit with status 2 before any
+//! simulation runs.
 
 use std::process::Command;
 
@@ -19,9 +20,9 @@ fn bad_arguments_exit_2() {
         &["simulate", "--n", "64", "--ctx", "fresh"][..],
         &["simulate", "--n", "64", "--threads"],
         &["simulate", "--threads", "--n", "64"],
-        &["simulate", "--n", "64", "--threads", "0"],
+        &["simulate", "--n", "64", "--threads", "1"],
         &["simulate", "--n", "64", "--sorter", "bitonic"],
-        &["route", "--n", "64", "--threads", "0"],
+        &["route", "--n", "64", "--threads", "1"],
         &["route", "--n", "64", "--sorter", "bitonic"],
         &["route", "--n", "64", "--bogus", "1"],
         &["structure", "--n", "1024", "--threads", "2"],
@@ -50,15 +51,7 @@ fn good_arguments_succeed() {
         &["--help"][..],
         &["help"],
         &["structure", "--n", "1024", "--d", "5"],
-        &[
-            "route",
-            "--n",
-            "64",
-            "--threads",
-            "2",
-            "--sorter",
-            "shearsort",
-        ],
+        &["route", "--n", "64", "--sorter", "shearsort"],
         &["bibd", "--q", "3", "--d", "2", "--dot"],
         &["route", "--n", "1"],
     ] {

